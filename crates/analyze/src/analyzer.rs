@@ -226,8 +226,7 @@ fn analyze_inner(
     let (mut findings, mut suppressed) = sink.into_parts();
 
     if let Some(f) = flow {
-        for (pass_findings, pass_suppressed) in flowdrive::run_flow_passes(f, config, None).passes
-        {
+        for (pass_findings, pass_suppressed) in flowdrive::run_flow_passes(f, config).passes {
             findings.extend(pass_findings);
             suppressed += pass_suppressed;
         }

@@ -15,7 +15,7 @@ use slif_speclang::{FlowBehavior, FlowOp};
 pub(crate) fn check(
     b: &FlowBehavior,
     states: &[Option<Vec<Interval>>],
-    summaries: &Summaries,
+    summaries: &Summaries<'_>,
 ) -> Vec<RawFinding> {
     let mut out = Vec::new();
     for (i, n) in b.nodes.iter().enumerate() {
@@ -44,6 +44,7 @@ pub(crate) fn check(
         out.push(RawFinding {
             lint: LintId::ConstantCondition,
             node: i as u32,
+            span: n.span,
             message: format!(
                 "branch condition is always {verdict}: the {dead_arm} arm is \
                  unreachable on every execution"

@@ -122,6 +122,7 @@ pub(crate) fn check(b: &FlowBehavior, cap: u32) -> Result<Vec<RawFinding>, Analy
             out.push(RawFinding {
                 lint: LintId::DeadStore,
                 node: i as u32,
+                span: n.span,
                 message: format!(
                     "value stored to local {} is never read afterwards",
                     info.name

@@ -12,7 +12,6 @@
 use crate::dataflow::{solve_forward, AnalysisError, EdgeFlow, Problem};
 use slif_speclang::ast::{BinOp, UnOp};
 use slif_speclang::{FlowBehavior, FlowExpr, FlowOp, SlotInfo, SlotKind};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Positive infinity sentinel. Half of `i128::MAX` leaves headroom so
@@ -272,10 +271,36 @@ fn logic(op: BinOp, l: Interval, r: Interval) -> Interval {
     }
 }
 
-/// Callee return-range summaries, by behavior name. Built bottom-up over
-/// the call graph; missing entries (unknown callees, call cycles broken
-/// at the back edge) evaluate to [`Interval::TOP`].
-pub(crate) type Summaries = BTreeMap<String, Interval>;
+/// The callee return-range summaries one behavior's solve reads, by
+/// callee name: the callees summarized before it in bottom-up order.
+/// Missing entries (unknown callees, call cycles broken at the back
+/// edge) evaluate to [`Interval::TOP`]. Kept sorted, so a lookup is a
+/// binary search over the behavior's own callees, not the whole program.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Summaries<'a> {
+    by_name: Vec<(&'a str, Interval)>,
+}
+
+impl<'a> Summaries<'a> {
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records `callee`'s summary (the last record for a name wins).
+    pub(crate) fn insert(&mut self, callee: &'a str, summary: Interval) {
+        match self.by_name.binary_search_by(|(n, _)| (*n).cmp(callee)) {
+            Ok(i) => self.by_name[i].1 = summary,
+            Err(i) => self.by_name.insert(i, (callee, summary)),
+        }
+    }
+
+    /// The return range a call to `callee` may produce.
+    pub(crate) fn get(&self, callee: &str) -> Interval {
+        self.by_name
+            .binary_search_by(|(n, _)| (*n).cmp(callee))
+            .map_or(Interval::TOP, |i| self.by_name[i].1)
+    }
+}
 
 /// Evaluates an expression to an interval in `state` (one interval per
 /// slot of the behavior).
@@ -283,7 +308,7 @@ pub(crate) fn eval(
     e: &FlowExpr,
     state: &[Interval],
     slots: &[SlotInfo],
-    summaries: &Summaries,
+    summaries: &Summaries<'_>,
 ) -> Interval {
     match e {
         FlowExpr::Const(v) => Interval::constant(sat(*v)),
@@ -306,7 +331,7 @@ pub(crate) fn eval(
                 "min" => arg(0).min_of(arg(1)),
                 "max" => arg(0).max_of(arg(1)),
                 "abs" => arg(0).abs(),
-                _ => summaries.get(callee).copied().unwrap_or(Interval::TOP),
+                _ => summaries.get(callee),
             }
         }
         FlowExpr::Binary { op, lhs, rhs } => {
@@ -338,7 +363,7 @@ pub(crate) fn eval(
 
 /// The forward value-range problem over one behavior.
 pub(crate) struct ValueProblem<'a> {
-    pub summaries: &'a Summaries,
+    pub summaries: &'a Summaries<'a>,
 }
 
 /// Whether executing this node can run user-defined code (whose writes
@@ -471,7 +496,7 @@ fn refine(
     cond: &FlowExpr,
     state: &[Interval],
     b: &FlowBehavior,
-    summaries: &Summaries,
+    summaries: &Summaries<'_>,
     truth: bool,
 ) -> Refinement {
     match cond {
@@ -547,7 +572,7 @@ fn refine_cmp(
     rhs: &FlowExpr,
     state: &[Interval],
     b: &FlowBehavior,
-    summaries: &Summaries,
+    summaries: &Summaries<'_>,
     truth: bool,
 ) -> Refinement {
     let (slot, other, op) = match (lhs, rhs) {
@@ -597,7 +622,7 @@ fn refine_cmp(
 /// states (interval per slot), `None` for unreachable nodes.
 pub(crate) fn solve_values(
     b: &FlowBehavior,
-    summaries: &Summaries,
+    summaries: &Summaries<'_>,
     cap: u32,
 ) -> Result<Vec<Option<Vec<Interval>>>, AnalysisError> {
     solve_forward(b, &ValueProblem { summaries }, cap)
@@ -610,7 +635,7 @@ pub(crate) fn solve_values(
 pub(crate) fn summarize_returns(
     b: &FlowBehavior,
     states: &[Option<Vec<Interval>>],
-    summaries: &Summaries,
+    summaries: &Summaries<'_>,
 ) -> Interval {
     let declared = b.ret_width.map_or(Interval::TOP, int_range);
     let mut acc: Option<Interval> = None;

@@ -85,5 +85,6 @@ pub use dataflow::AnalysisError;
 pub use lint::{AnalysisConfig, LintId, LintLevel, LINT_COUNT};
 pub use memo::{
     analyze_compiled_memoized, analyze_compiled_memoized_with_flow, AnalysisDirt, AnalysisMemo,
+    FlowEdit,
 };
 pub use report::{AnalysisReport, Finding};

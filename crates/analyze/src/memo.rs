@@ -1,8 +1,8 @@
 //! Sliced re-linting for edit sessions.
 //!
 //! The analyzer is pure: each pass is a function of the compiled view,
-//! the partition, the flow program, and the configuration. When an
-//! incremental edit patched annotations in place — topology and
+//! the partition, the specification's behaviors, and the configuration.
+//! When an incremental edit patched annotations in place — topology and
 //! partition untouched — most passes read nothing the edit changed:
 //!
 //! | pass               | reads                                       |
@@ -12,24 +12,32 @@
 //! | `cycle` (A003)     | topology only                               |
 //! | `bitwidth` (A004)  | channel bits, bus widths, partition, config |
 //! | `annotation` (A005)| weight tables, class kinds                  |
-//! | flow (A006–A009)   | the behavior flow program only              |
+//! | flow (A006–A009)   | the spec's behavior bodies, per behavior    |
 //! | `race` (A010)      | topology, channel tags and frequencies, partition |
 //!
 //! A frequency-only edit re-runs just the two race passes (the
 //! proven/unproven split is a happens-before judgment over observed
-//! frequencies); a weight tweak re-runs `annotation` alone; a body edit
-//! re-runs the flow passes — and those keep a second, per-behavior cache
-//! keyed by structural hash, so only the edited behavior actually
-//! re-solves.
+//! frequencies); a weight tweak re-runs `annotation` alone; any text
+//! edit re-runs the flow passes, which are sliced a second time, per
+//! behavior.
 //!
 //! [`AnalysisMemo`] caches each pass's findings between runs;
 //! [`analyze_compiled_memoized`] re-runs only the passes an
 //! [`AnalysisDirt`] marks stale and splices the rest from the cache.
 //! Design-node-anchored findings are cached span-less and spans
 //! re-attached from the current [`SourceMap`] on every call, because an
-//! edit moves spans even when it changes no finding. (Flow findings are
-//! materialized with their statement spans by the flow driver, which
-//! re-runs whenever the flow program changed — span drift included.)
+//! edit moves spans even when it changes no finding.
+//!
+//! The flow passes read the specification through a [`FlowEdit`]: the
+//! spec plus the behaviors an edit touched. The memo keeps the resident
+//! flow state of every behavior (structural hash, callees, return
+//! summary, raw findings with statement spans), so a flow re-run lowers
+//! and re-solves only the dirty behaviors, plus a clean caller whose
+//! callee's return range moved. A clean behavior keeps its cached
+//! findings with spans rebased by its declaration's line shift. That
+//! state is keyed by behavior structure, not design topology: it stays
+//! valid across [`AnalysisDirt::all`] re-runs, so an edit that
+//! recompiles the design keeps it too.
 
 use crate::analyzer::{attach_spans, shape_checked, Ctx, Sink, SourceMap};
 use crate::flowdrive::{self, FlowCache, FLOW_PASSES};
@@ -37,7 +45,7 @@ use crate::lint::AnalysisConfig;
 use crate::report::{AnalysisReport, Finding};
 use crate::{annotation, bitwidth, cycle, race, reach};
 use slif_core::{AnnotationDelta, CompiledDesign, Partition};
-use slif_speclang::FlowProgram;
+use slif_speclang::{Spec, Suppressions};
 
 /// Number of lint passes, in execution order: the five design-level
 /// passes, the four flow passes, and the trailing `A010` race pass.
@@ -51,11 +59,11 @@ const FLOW_BASE: usize = 5;
 /// The contract mirrors
 /// [`patch_annotations_delta`](CompiledDesign::patch_annotations_delta):
 /// the flags describe *annotation* changes on an otherwise identical
-/// compiled view, plus a [`flow`](Self::flow) flag for behavior-body
-/// edits (the flow program was re-lowered). Any change the flags cannot
-/// express — topology, partition contents, thresholds — must use
-/// [`AnalysisDirt::all`], which re-runs every pass (and is what an empty
-/// memo does anyway).
+/// compiled view, plus a [`flow`](Self::flow) flag for specification
+/// text edits (which behaviors changed is the [`FlowEdit`]'s business).
+/// Any change the flags cannot express — topology, partition contents,
+/// thresholds — must use [`AnalysisDirt::all`], which re-runs every pass
+/// (and is what an empty memo does anyway).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct AnalysisDirt {
@@ -69,9 +77,12 @@ pub struct AnalysisDirt {
     pub chan_freqs: bool,
     /// Some node's weight row changed (`annotation` re-runs).
     pub weights: bool,
-    /// The flow program was re-lowered — structure, suppressions, or
-    /// just spans may differ (the `A006`–`A009` passes re-run, hitting
-    /// their per-behavior cache for unchanged behaviors).
+    /// The specification text changed since the last run — behavior
+    /// bodies, suppressions, or just spans may differ. The `A006`–`A009`
+    /// passes re-run, lowering and re-solving only the behaviors the
+    /// [`FlowEdit`] marks dirty (plus clean callers whose callee's
+    /// return range moved); every other behavior keeps its cached solve
+    /// with its spans rebased.
     pub flow: bool,
 }
 
@@ -127,8 +138,40 @@ struct PassCache {
     suppressed: usize,
 }
 
+/// The specification side of a memoized flow analysis: the spec whose
+/// behaviors the `A006`–`A009` passes lower, and which of them may have
+/// changed since the memo's previous run.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowEdit<'a> {
+    spec: &'a Spec,
+    dirty: Option<&'a [usize]>,
+}
+
+impl<'a> FlowEdit<'a> {
+    /// Any behavior may have changed (a first run, a recovery from
+    /// broken text, an edit to a global declaration): every behavior is
+    /// lowered, and cached solves are reused where a behavior's
+    /// structure and callee summaries are unchanged.
+    pub fn full(spec: &'a Spec) -> Self {
+        Self { spec, dirty: None }
+    }
+
+    /// Only the behaviors at these declaration indices of `spec` may
+    /// differ from the memo's previous run. Every other behavior's text
+    /// must be byte-identical to that run's, at most moved whole lines,
+    /// and no port, constant or system variable may have changed: those
+    /// behaviors are not lowered again, and their cached findings' spans
+    /// are rebased by their declaration's shift.
+    pub fn dirty(spec: &'a Spec, behaviors: &'a [usize]) -> Self {
+        Self {
+            spec,
+            dirty: Some(behaviors),
+        }
+    }
+}
+
 /// Cached per-pass lint results for one (compiled view, partition,
-/// config, flow) lineage. See [`analyze_compiled_memoized`].
+/// config, specification) lineage. See [`analyze_compiled_memoized`].
 #[derive(Debug, Default)]
 pub struct AnalysisMemo {
     /// The configuration the cached results were produced under; a
@@ -138,9 +181,10 @@ pub struct AnalysisMemo {
     /// produced under (`None` = no flow program); a mismatch reseeds.
     sup_fp: Option<u64>,
     passes: Option<[PassCache; PASSES]>,
-    /// Per-behavior flow solves, keyed by structural hash. Survives
-    /// pass-cache reseeds: levels and suppressions are applied at
-    /// materialization, never baked into the cached solves.
+    /// The resident per-behavior flow state, keyed by structural hash.
+    /// Survives pass-cache reseeds and `AnalysisDirt::all` re-runs:
+    /// levels and suppressions are applied at materialization, never
+    /// baked into the cached solves.
     flow_cache: FlowCache,
     /// Passes served from cache across all runs (operational metric).
     reused: u64,
@@ -163,6 +207,17 @@ impl AnalysisMemo {
     pub fn passes_run(&self) -> u64 {
         self.ran
     }
+
+    /// Behaviors the flow passes lowered across all runs.
+    pub fn flow_behaviors_lowered(&self) -> u64 {
+        self.flow_cache.lowered
+    }
+
+    /// Behaviors the flow passes solved across all runs; the rest reused
+    /// their cached solve.
+    pub fn flow_behaviors_solved(&self) -> u64 {
+        self.flow_cache.solved
+    }
 }
 
 /// [`analyze_compiled_with_sources`](crate::analyze_compiled_with_sources)
@@ -184,17 +239,18 @@ pub fn analyze_compiled_memoized(
 }
 
 /// [`analyze_compiled_with_flow`](crate::analyze_compiled_with_flow)
-/// with per-pass memoization. Equal to the unmemoized flow analysis
-/// under the same [`AnalysisDirt`] contract; additionally, when `dirt`
-/// marks the flow program stale, only behaviors whose structural hash
-/// (or callee summaries) changed actually re-solve — the rest come from
-/// the memo's per-behavior cache, re-materialized with current spans.
+/// with per-pass memoization, over `FlowProgram::from_spec` of the
+/// [`FlowEdit`]'s spec. Equal to the unmemoized flow analysis under the
+/// [`AnalysisDirt`] and [`FlowEdit`] contracts; when `dirt` marks the
+/// flow passes stale, only the edit's dirty behaviors are lowered, and
+/// only behaviors whose structure (or callee summaries) changed
+/// re-solve — the rest come from the memo's per-behavior flow state.
 pub fn analyze_compiled_memoized_with_flow(
     cd: &CompiledDesign,
     partition: Option<&Partition>,
     config: &AnalysisConfig,
     sources: &SourceMap,
-    flow: Option<&FlowProgram>,
+    flow: Option<FlowEdit<'_>>,
     memo: &mut AnalysisMemo,
     dirt: &AnalysisDirt,
 ) -> AnalysisReport {
@@ -204,7 +260,8 @@ pub fn analyze_compiled_memoized_with_flow(
         partition,
         config,
     };
-    let sup_fp = flow.map(|f| f.suppressions.fingerprint());
+    let suppressions = flow.map(|f| Suppressions::from_spec(f.spec));
+    let sup_fp = suppressions.as_ref().map(Suppressions::fingerprint);
     let seeded =
         memo.passes.is_some() && memo.config.as_ref() == Some(config) && memo.sup_fp == sup_fp;
     if !seeded {
@@ -217,8 +274,8 @@ pub fn analyze_compiled_memoized_with_flow(
         Some(p) => p,
         None => unreachable!("memo.passes seeded just above"),
     };
-    let new_sink = || match flow {
-        Some(f) => Sink::with_suppressions(config, &f.suppressions, cd),
+    let new_sink = || match &suppressions {
+        Some(sup) => Sink::with_suppressions(config, sup, cd),
         None => Sink::new(config),
     };
 
@@ -248,8 +305,8 @@ pub fn analyze_compiled_memoized_with_flow(
     // re-run) together.
     if seeded && !dirt.stale(FLOW_BASE) {
         memo.reused += FLOW_PASSES as u64;
-    } else if let Some(f) = flow {
-        let results = flowdrive::run_flow_passes(f, config, Some(&mut memo.flow_cache));
+    } else if let (Some(f), Some(sup)) = (flow, &suppressions) {
+        let results = flowdrive::run_flow_edit(f.spec, f.dirty, sup, config, &mut memo.flow_cache);
         for (p, (findings, suppressed)) in results.passes.into_iter().enumerate() {
             passes[FLOW_BASE + p] = PassCache {
                 findings,
@@ -453,15 +510,17 @@ mod tests {
                 Some(&part),
                 &config,
                 &sources,
-                Some(&flow),
+                Some(FlowEdit::full(&spec)),
                 &mut memo,
                 &d,
             );
             assert_eq!(memoized, plain, "dirt {d:?}");
             assert_eq!(memoized.to_string(), plain.to_string(), "dirt {d:?}");
         }
-        // The flow-dirty rerun must have served every behavior solve
-        // from the per-behavior cache (structural hashes unchanged).
+        // The flow-dirty rerun lowered both behaviors again but served
+        // both solves from the flow state (structural hashes unchanged).
         assert!(memo.passes_reused() > 0);
+        assert_eq!(memo.flow_behaviors_lowered(), 4);
+        assert_eq!(memo.flow_behaviors_solved(), 2);
     }
 }

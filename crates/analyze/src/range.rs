@@ -18,7 +18,7 @@ use slif_speclang::{FlowBehavior, FlowOp};
 pub(crate) fn check(
     b: &FlowBehavior,
     states: &[Option<Vec<Interval>>],
-    summaries: &Summaries,
+    summaries: &Summaries<'_>,
 ) -> Vec<RawFinding> {
     let mut out = Vec::new();
     for (i, n) in b.nodes.iter().enumerate() {
@@ -47,6 +47,7 @@ pub(crate) fn check(
                     out.push(RawFinding {
                         lint: LintId::ValueRangeOverflow,
                         node: i as u32,
+                        span: n.span,
                         message: format!(
                             "assignment to {what} always overflows: the stored \
                              value is in {v}, but int<{w}> holds {declared}"
@@ -64,6 +65,7 @@ pub(crate) fn check(
                     out.push(RawFinding {
                         lint: LintId::ValueRangeOverflow,
                         node: i as u32,
+                        span: n.span,
                         message: format!(
                             "returned value always overflows: it is in {r}, but \
                              {} returns int<{w}> holding {declared}",

@@ -96,6 +96,7 @@ pub(crate) fn check(b: &FlowBehavior, cap: u32) -> Result<Vec<RawFinding>, Analy
             out.push(RawFinding {
                 lint: LintId::UninitializedRead,
                 node: i as u32,
+                span: n.span,
                 message: format!(
                     "local {} is read here, but no path from entry assigns it",
                     b.slots[slot as usize].name

@@ -11,7 +11,8 @@
 //!   memo-slice re-estimate → re-lint).
 //!
 //! Writes `BENCH_edit.json` (or the path given as the first argument).
-//! The tentpole target: ≥10x speedup at the ≥1k-node size.
+//! Fails, without writing, unless the speedup at the ~1200-node size is
+//! at least [`SPEEDUP_FLOOR`].
 
 use slif_session::{EditDelta, EditSession, RecomputeTier, SessionConfig};
 use std::fmt::Write as _;
@@ -20,6 +21,8 @@ use std::time::Instant;
 
 const COLD_ROUNDS: usize = 7;
 const EDITS: usize = 60;
+/// Minimum warm-edit speedup over a cold open at the ~1200-node size.
+const SPEEDUP_FLOOR: f64 = 10.0;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -92,9 +95,12 @@ fn main() {
         .unwrap_or_else(|| "BENCH_edit.json".to_string());
 
     let mut entries = String::new();
+    // The speedup of the last (~1200-node) size.
+    let mut floor_speedup = 0.0;
     for (i, &(processes, vars)) in [(60usize, 60usize), (600, 600)].iter().enumerate() {
         let (nodes, cold, edit) = measure(processes, vars);
         let speedup = cold / edit;
+        floor_speedup = speedup;
         println!(
             "{nodes:>6} nodes: cold open {:>12.1} us, incremental edit {:>9.1} us \
              ({speedup:.1}x speedup)",
@@ -115,7 +121,13 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"pr8_edit_session\",\n  \"workload\": \
          \"one-procedure body edit through an EditSession vs a cold pipeline rebuild\",\n  \
-         \"cold_rounds\": {COLD_ROUNDS},\n  \"edits\": {EDITS},\n  \"sizes\": [{entries}\n  ]\n}}\n"
+         \"cold_rounds\": {COLD_ROUNDS},\n  \"edits\": {EDITS},\n  \"speedup_floor\": {SPEEDUP_FLOOR},\n  \
+         \"sizes\": [{entries}\n  ]\n}}\n"
+    );
+    assert!(
+        floor_speedup >= SPEEDUP_FLOOR,
+        "warm edit speedup {floor_speedup:.2}x at ~1200 nodes fell below the \
+         {SPEEDUP_FLOOR}x floor"
     );
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("wrote {out_path}");

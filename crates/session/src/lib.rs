@@ -22,7 +22,8 @@
 //!    patched in place and only memo entries depending on dirty nodes
 //!    recompute; a topology change falls back to a cold compile.
 //! 4. **Lint** — the analyzer re-runs over the patched compiled view
-//!    with spans re-attached from the rebased [`SourceMap`].
+//!    with spans re-attached from the rebased [`SourceMap`]; the flow
+//!    lints lower and re-solve only the behaviors the edit touched.
 //!
 //! Whatever the path, the state after `apply_edit` is **bit-identical**
 //! to rebuilding cold from the final text — the property suite holds the
@@ -60,7 +61,7 @@
 
 use slif_analyze::{
     analyze_compiled_memoized_with_flow, AnalysisConfig, AnalysisDirt, AnalysisMemo,
-    AnalysisReport,
+    AnalysisReport, FlowEdit,
 };
 use slif_core::{CompiledDesign, Design, Partition};
 use slif_estimate::{DesignReport, EstimatorConfig, IncrementalEstimator};
@@ -69,8 +70,8 @@ use slif_frontend::{
     BuildCache, BuildOptions,
 };
 use slif_speclang::{
-    parse_partial_with_limits, try_resolve, Diagnostic, FlowProgram, ParseLimits, Reparse,
-    ReparseScope, ResolvedSpec, SourceMap, Spec,
+    parse_partial_with_limits, try_resolve, Diagnostic, ParseLimits, Reparse, ReparseScope,
+    ResolvedSpec, SourceMap, Spec,
 };
 use slif_techlib::TechnologyLibrary;
 
@@ -151,7 +152,8 @@ struct GoodState {
     estimator: IncrementalEstimator<'static>,
     estimate: DesignReport,
     analysis: AnalysisReport,
-    /// Per-pass lint cache; sliced by the annotation delta on warm edits.
+    /// Per-pass lint cache, sliced by the annotation delta on warm
+    /// edits; it also holds the per-behavior flow state.
     memo: AnalysisMemo,
 }
 
@@ -334,25 +336,31 @@ impl EditSession {
         scope: ReparseScope,
         prev_good: bool,
     ) -> SessionUpdate {
-        // Fast path: a region-confined edit over a warm clean session
-        // patches the existing design in place — no rebuild, no
-        // re-allocation, no partition rebuild, per-pass lint slicing.
-        if let ReparseScope::Region { start, end } = scope {
-            if prev_good {
-                match self.patch_slice(resolved, start, end) {
-                    Some(Ok(dirty_nodes)) => {
-                        return self.update(RecomputeTier::Patched, scope, dirty_nodes);
-                    }
-                    Some(Err(e)) => {
-                        self.good = None;
-                        self.diagnostics = vec![Diagnostic::new(
-                            slif_speclang::Span::dummy(),
-                            format!("estimation failed: {e}"),
-                        )];
-                        return self.update(RecomputeTier::Deferred, scope, 0);
-                    }
-                    None => {} // not patchable: fall through to the rebuild
+        // The behaviors a region-confined edit over a clean revision may
+        // have touched; `None` when any behavior may have changed.
+        let candidates = match scope {
+            ReparseScope::Region { start, end } if prev_good => {
+                region_candidates(resolved.spec(), start, end)
+            }
+            _ => None,
+        };
+        // Fast path: such an edit patches the existing design in place —
+        // no rebuild, no re-allocation, no partition rebuild, per-pass
+        // lint slicing.
+        if let Some(candidates) = &candidates {
+            match self.patch_slice(resolved, candidates) {
+                Some(Ok(dirty_nodes)) => {
+                    return self.update(RecomputeTier::Patched, scope, dirty_nodes);
                 }
+                Some(Err(e)) => {
+                    self.good = None;
+                    self.diagnostics = vec![Diagnostic::new(
+                        slif_speclang::Span::dummy(),
+                        format!("estimation failed: {e}"),
+                    )];
+                    return self.update(RecomputeTier::Deferred, scope, 0);
+                }
+                None => {} // not patchable: fall through to the rebuild
             }
         }
 
@@ -376,9 +384,12 @@ impl EditSession {
         };
         let partition = all_software_partition(&design, arch);
         let sources = SourceMap::from_spec(resolved.spec());
-        let flow = FlowProgram::from_spec(resolved.spec());
+        let flow = match &candidates {
+            Some(c) => FlowEdit::dirty(resolved.spec(), c),
+            None => FlowEdit::full(resolved.spec()),
+        };
 
-        match self.pipeline(design, partition, &sources, &flow) {
+        match self.pipeline(design, partition, &sources, flow) {
             Ok((tier, dirty_nodes)) => self.update(tier, scope, dirty_nodes),
             Err(e) => {
                 // A design the estimator rejects outright (e.g. a weight
@@ -394,28 +405,26 @@ impl EditSession {
         }
     }
 
-    /// The in-place recompute slice for an edit whose reparse was
-    /// confined to `[start, end)` of the new source and whose previous
-    /// revision was clean. Returns `None` when the edit is not
-    /// patchable (the caller rebuilds through the cache), `Some(Err)`
-    /// when re-estimation itself failed, and `Some(Ok(dirty_nodes))` on
+    /// The in-place recompute slice for a region-confined edit over a
+    /// clean revision that may have touched only the `candidates`
+    /// behaviors. Returns `None` when the edit is not patchable (the
+    /// caller rebuilds through the cache), `Some(Err)` when
+    /// re-estimation itself failed, and `Some(Ok(dirty_nodes))` on
     /// success.
     fn patch_slice(
         &mut self,
         resolved: &ResolvedSpec,
-        start: usize,
-        end: usize,
+        candidates: &[usize],
     ) -> Option<Result<usize, slif_core::CoreError>> {
         let g = self.good.as_mut()?;
         let spec = resolved.spec();
-        let candidates = region_candidates(spec, start, end)?;
         try_patch_design(
             resolved,
             &self.config.library,
             &BuildOptions::default(),
             &mut self.cache,
             &mut g.design,
-            &candidates,
+            candidates,
         )?;
         // The patch holds topology invariant by construction, so the
         // rebase cannot reject it; treat a rejection as "not patchable"
@@ -429,12 +438,12 @@ impl EditSession {
             if !delta.is_empty() {
                 g.estimate = DesignReport::compute_from_incremental(&g.design, &mut g.estimator)?;
             }
-            // The edit re-lowered the flow program, so the flow passes
-            // are always marked stale — the per-behavior solve cache
-            // inside the memo re-solves only behaviors whose structure
-            // actually changed, and re-materializes moved spans for the
-            // rest.
-            let flow = FlowProgram::from_spec(spec);
+            // Any text edit may move spans, so the flow passes are
+            // always marked stale. They lower and re-solve only the
+            // candidate behaviors (and clean callers whose callee's
+            // return range moved); every other behavior keeps its cached
+            // findings, spans rebased by its declaration's line shift.
+            let flow = FlowEdit::dirty(spec, candidates);
             let mut dirt = AnalysisDirt::from(&delta);
             dirt.flow = true;
             // The span map costs O(decls) to build but only findings
@@ -447,7 +456,7 @@ impl EditSession {
                 Some(&g.partition),
                 &lint_cfg,
                 &empty,
-                Some(&flow),
+                Some(flow),
                 &mut g.memo,
                 &dirt,
             );
@@ -458,7 +467,7 @@ impl EditSession {
                     Some(&g.partition),
                     &lint_cfg,
                     &sources,
-                    Some(&flow),
+                    Some(flow),
                     &mut g.memo,
                     &AnalysisDirt::none(),
                 )
@@ -477,7 +486,7 @@ impl EditSession {
         design: Design,
         partition: Partition,
         sources: &SourceMap,
-        flow: &FlowProgram,
+        flow: FlowEdit<'_>,
     ) -> Result<(RecomputeTier, usize), slif_core::CoreError> {
         let (est_cfg, lint_cfg) = (self.config.estimator, self.config.analysis);
         if let Some(g) = self.good.as_mut() {
@@ -488,8 +497,9 @@ impl EditSession {
                 // The rebase verified topology identity and the fresh
                 // all-software partition assigns it identically, so the
                 // lint memo slices by the annotation delta — plus the
-                // flow flag, because this revision's flow program was
-                // re-lowered (spans at least may have moved).
+                // flow flag, because the text changed (spans at least
+                // may have moved); the flow passes lower only the
+                // behaviors `flow` marks dirty.
                 let mut dirt = AnalysisDirt::from(&delta);
                 dirt.flow = true;
                 g.analysis = analyze_compiled_memoized_with_flow(
@@ -508,7 +518,11 @@ impl EditSession {
         let mut estimator =
             IncrementalEstimator::from_owned_compiled(cd, partition.clone(), est_cfg)?;
         let estimate = DesignReport::compute_from_incremental(&design, &mut estimator)?;
-        let mut memo = AnalysisMemo::new();
+        // Every pass re-runs over the new topology, but the previous
+        // memo's flow state is keyed by behavior structure, not by
+        // topology, so it carries over: only the edit's dirty behaviors
+        // are lowered and re-solved.
+        let mut memo = self.good.take().map_or_else(AnalysisMemo::new, |g| g.memo);
         let analysis = analyze_compiled_memoized_with_flow(
             estimator.compiled(),
             Some(&partition),

@@ -1,14 +1,15 @@
 //! Session-level bit-identity: whatever path an edit takes through the
-//! tiers, the session's design, estimate, and lint reports must be `==`
-//! to a cold rebuild of the current text.
+//! tiers, the session's design, estimate, and lint reports (flow lints
+//! and spans included) must be `==` to a cold rebuild of the current
+//! text.
 
 use crate::{EditDelta, EditError, EditSession, RecomputeTier, SessionConfig};
 use proptest::prelude::*;
-use slif_analyze::{analyze_with_sources, AnalysisReport};
-use slif_core::Design;
+use slif_analyze::{analyze_compiled_with_flow, AnalysisReport, LintId};
+use slif_core::{CompiledDesign, Design};
 use slif_estimate::DesignReport;
 use slif_frontend::{all_software_partition, build_design, try_allocate_proc_asic};
-use slif_speclang::{parse_partial_with_limits, resolve, SourceMap};
+use slif_speclang::{parse_partial_with_limits, resolve, FlowProgram, SourceMap};
 
 const BASE: &str = concat!(
     "system Demo;\n",
@@ -31,7 +32,9 @@ const BASE: &str = concat!(
 );
 
 /// The from-scratch pipeline the session must be indistinguishable
-/// from: parse, resolve, build (uncached), allocate, estimate, lint.
+/// from: parse, resolve, build (uncached), allocate, estimate, and the
+/// full lint run — graph passes plus the flow passes over a freshly
+/// lowered program, with spans.
 fn cold(
     source: &str,
     config: &SessionConfig,
@@ -45,11 +48,12 @@ fn cold(
     let arch = try_allocate_proc_asic(&mut design).ok()?;
     let partition = all_software_partition(&design, arch);
     let estimate = DesignReport::compute_with(&design, &partition, config.estimator).ok()?;
-    let analysis = analyze_with_sources(
-        &design,
+    let analysis = analyze_compiled_with_flow(
+        &CompiledDesign::compile(&design),
         Some(&partition),
         &config.analysis,
-        &SourceMap::from_spec(rs.spec()),
+        &FlowProgram::from_spec(rs.spec()),
+        Some(&SourceMap::from_spec(rs.spec())),
     );
     Some((design, estimate, analysis))
 }
@@ -288,4 +292,147 @@ proptest! {
             assert_matches_cold(&session, &config, &format!("seed {seed} step {step}"));
         }
     }
+}
+
+/// One finding per flow lint: `A006` where `Main` stores a value that
+/// reaches it through the `Src → Mid → Main` return-summary chain, and
+/// `A007`, `A008` and `A009` in separate behaviors.
+const FLOW: &str = concat!(
+    "system Flow;\n",
+    "var level : int<8>;\n",
+    "var sink : int<8>;\n",
+    "func Src() -> int<16> {\n",
+    "  return 300;\n",
+    "}\n",
+    "func Mid() -> int<16> {\n",
+    "  var m : int<16>;\n",
+    "  m = Src();\n",
+    "  return m;\n",
+    "}\n",
+    "proc Uninit() {\n",
+    "  var u : int<8>;\n",
+    "  sink = u;\n",
+    "}\n",
+    "proc Dead() {\n",
+    "  var d : int<8>;\n",
+    "  d = 1;\n",
+    "  d = 2;\n",
+    "  sink = d;\n",
+    "}\n",
+    "proc Const() {\n",
+    "  if 1 > 2 {\n",
+    "    sink = 1;\n",
+    "  } else {\n",
+    "    sink = 2;\n",
+    "  }\n",
+    "}\n",
+    "process Main {\n",
+    "  level = Mid();\n",
+    "  call Uninit();\n",
+    "  call Dead();\n",
+    "  call Const();\n",
+    "  wait 5;\n",
+    "}\n",
+);
+
+#[test]
+fn flow_fixture_fires_every_flow_lint() {
+    let config = SessionConfig::default();
+    let (session, update) = EditSession::open(FLOW, config.clone());
+    assert!(update.clean, "{:?}", update.diagnostics);
+    let report = session.analysis().expect("clean fixture has a report");
+    for lint in [
+        LintId::ValueRangeOverflow,
+        LintId::UninitializedRead,
+        LintId::DeadStore,
+        LintId::ConstantCondition,
+    ] {
+        assert_eq!(report.of(lint).count(), 1, "{lint}\n{report}");
+    }
+    assert_matches_cold(&session, &config, "open");
+}
+
+/// The byte range of the literal `Src` returns.
+fn src_return(text: &str) -> Option<(usize, usize)> {
+    let body = text.find("func Src()")?;
+    let start = body + text[body..].find("return ")? + "return ".len();
+    let len = text[start..].find(';')?;
+    Some((start, start + len))
+}
+
+/// A walk over the flow fixture: newlines inserted at line starts (which
+/// move every finding below them), retargets of `Src`'s return value
+/// (which move `A006` two callers away), inserted processes (a
+/// recompile), and short deletions, each undone at once when it breaks
+/// the text. Every clean revision must equal a cold run, spans included.
+/// Returns how many edits took the Patched and the Recompiled tier.
+fn flow_walk(seed: u64, steps: usize) -> (usize, usize) {
+    let mut tiers = (0, 0);
+    let config = SessionConfig::default();
+    let (mut session, _) = EditSession::open(FLOW, config.clone());
+    let mut rng = Rng(seed ^ 0xf10e_5eed);
+    for step in 0..steps {
+        let text = session.source().to_owned();
+        let what = format!("seed {seed} step {step}");
+        let delta = match rng.below(4) {
+            0 => {
+                let starts: Vec<usize> = std::iter::once(0)
+                    .chain(text.match_indices('\n').map(|(i, _)| i + 1))
+                    .filter(|&i| i < text.len())
+                    .collect();
+                let at = starts[rng.below(starts.len())];
+                EditDelta::new(at, at, "\n")
+            }
+            1 => {
+                let Some((start, end)) = src_return(&text) else {
+                    continue;
+                };
+                let value = ["300", "30", "255", "256", "70000", "-200"][rng.below(6)];
+                EditDelta::new(start, end, value)
+            }
+            2 => {
+                let at = text.find("process Main").unwrap_or(text.len());
+                EditDelta::new(
+                    at,
+                    at,
+                    format!("process Extra{step} {{\n  sink = {step};\n  wait 2;\n}}\n"),
+                )
+            }
+            _ => {
+                let start = rng.below(text.len() - 1);
+                let end = (start + 1 + rng.below(3)).min(text.len());
+                EditDelta::new(start, end, "")
+            }
+        };
+        let update = session.apply_edit(&delta).expect("in-bounds ASCII edit");
+        assert_matches_cold(&session, &config, &what);
+        match update.tier {
+            RecomputeTier::Patched => tiers.0 += 1,
+            RecomputeTier::Recompiled => tiers.1 += 1,
+            RecomputeTier::Deferred => {}
+        }
+        if !update.clean {
+            let undo = EditDelta::new(
+                delta.start,
+                delta.start + delta.text.len(),
+                &text[delta.start..delta.end],
+            );
+            let update = session.apply_edit(&undo).expect("undo applies");
+            assert!(update.clean, "{what}: undo left {:?}", update.diagnostics);
+            assert_eq!(session.source(), text, "{what}: undo did not restore the text");
+            assert_matches_cold(&session, &config, &format!("{what} (undo)"));
+        }
+    }
+    tiers
+}
+
+#[test]
+fn flow_findings_and_spans_track_every_edit() {
+    let (mut patched, mut recompiled) = (0, 0);
+    for seed in 0..8 {
+        let (p, r) = flow_walk(seed, 40);
+        patched += p;
+        recompiled += r;
+    }
+    assert!(patched > 100 && recompiled > 40, "{patched} patched, {recompiled} recompiled");
 }

@@ -1,11 +1,16 @@
 //! Statement-level control-flow programs for dataflow analysis.
 //!
-//! [`FlowProgram::from_spec`] lowers a parsed [`Spec`] into one small
-//! control-flow graph per behavior: structured statements desugar into
-//! branch/join nodes, `for` loops into an init/header/increment diamond
-//! with an explicit back edge, `fork` into a parallel diamond, and a
-//! `process` body into an infinite loop (body end → body start), so
-//! locals persist across iterations exactly as they do at run time.
+//! [`FlowLowering::lower`] lowers one behavior of a parsed [`Spec`] into
+//! a small control-flow graph, against a lowering context built once per
+//! specification (its globals and folded constants);
+//! [`FlowProgram::from_spec`] maps that over every behavior, and edit
+//! sessions map it over only the behaviors an edit touched.
+//!
+//! Structured statements desugar into branch/join nodes, `for` loops
+//! into an init/header/increment diamond with an explicit back edge,
+//! `fork` into a parallel diamond, and a `process` body into an infinite
+//! loop (body end → body start), so locals persist across iterations
+//! exactly as they do at run time.
 //!
 //! The lowering is span-faithful (every node carries the span of the
 //! statement it came from) but the per-behavior [`FlowBehavior::hash`]
@@ -429,13 +434,8 @@ impl FlowProgram {
     /// lower to [`FlowExpr::Unknown`], which every analysis treats as
     /// "no information".
     pub fn from_spec(spec: &Spec) -> Self {
-        let consts = fold_consts(spec);
-        let globals = GlobalScope::new(spec);
-        let behaviors: Vec<FlowBehavior> = spec
-            .behaviors
-            .iter()
-            .map(|b| Builder::lower(b, &globals, &consts))
-            .collect();
+        let cx = FlowLowering::new(spec);
+        let behaviors: Vec<FlowBehavior> = spec.behaviors.iter().map(|b| cx.lower(b)).collect();
         let index = behaviors
             .iter()
             .enumerate()
@@ -450,55 +450,67 @@ impl FlowProgram {
 
     /// Looks up a behavior's graph by name.
     pub fn get(&self, name: &str) -> Option<&FlowBehavior> {
-        self.index.get(name).map(|&i| &self.behaviors[i])
+        self.position(name).map(|i| &self.behaviors[i])
     }
 
-    /// Behavior indices in callee-first (bottom-up) order: every callee
-    /// precedes its callers; call cycles are broken at the back edge.
-    /// Deterministic for a given program.
-    pub fn bottom_up_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.behaviors.len());
-        let mut state = vec![0u8; self.behaviors.len()]; // 0 new, 1 open, 2 done
-        for i in 0..self.behaviors.len() {
-            self.post_order(i, &mut state, &mut order);
+    /// The declaration index of the behavior a call to `name` reaches
+    /// (the last one declared under that name).
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.index.get(name).copied()
+    }
+}
+
+/// The context one behavior is lowered in: the specification's ports
+/// and system variables, and its named constants folded to integers.
+/// Building it costs O(globals); lowering a behavior against it costs
+/// O(that behavior), so a caller that knows which behaviors changed
+/// lowers only those.
+#[derive(Debug)]
+pub struct FlowLowering<'s> {
+    globals: BTreeMap<&'s str, (SlotKind, &'s Type)>,
+    consts: BTreeMap<&'s str, i128>,
+}
+
+impl<'s> FlowLowering<'s> {
+    /// Collects the globals and folds the constants of `spec`.
+    pub fn new(spec: &'s Spec) -> Self {
+        let mut globals = BTreeMap::new();
+        for p in &spec.ports {
+            globals.insert(p.name.as_str(), (SlotKind::Port(p.direction), &p.ty));
         }
-        order
+        for v in &spec.vars {
+            globals.insert(v.name.as_str(), (SlotKind::Global, &v.ty));
+        }
+        FlowLowering {
+            globals,
+            consts: fold_consts(spec),
+        }
     }
 
-    fn post_order(&self, i: usize, state: &mut [u8], order: &mut Vec<usize>) {
-        if state[i] != 0 {
-            return;
-        }
-        state[i] = 1;
-        for callee in self.behaviors[i].callees() {
-            if let Some(&j) = self.index.get(callee) {
-                if state[j] == 0 {
-                    self.post_order(j, state, order);
-                }
-            }
-        }
-        state[i] = 2;
-        order.push(i);
+    /// Lowers one behavior declaration of the specification this context
+    /// was built from.
+    pub fn lower(&self, decl: &BehaviorDecl) -> FlowBehavior {
+        Builder::lower(decl, self)
     }
 }
 
 /// Evaluates every `const` declaration to an integer, in order, so later
 /// constants can reference earlier ones.
-fn fold_consts(spec: &Spec) -> BTreeMap<String, i128> {
+fn fold_consts(spec: &Spec) -> BTreeMap<&str, i128> {
     let mut consts = BTreeMap::new();
     for c in &spec.consts {
         if let Some(v) = eval_const(&c.value, &consts) {
-            consts.insert(c.name.clone(), v);
+            consts.insert(c.name.as_str(), v);
         }
     }
     consts
 }
 
-fn eval_const(e: &Expr, consts: &BTreeMap<String, i128>) -> Option<i128> {
+fn eval_const(e: &Expr, consts: &BTreeMap<&str, i128>) -> Option<i128> {
     match e {
         Expr::Int { value, .. } => Some(i128::from(*value)),
         Expr::Bool { value, .. } => Some(i128::from(*value)),
-        Expr::Name { name, .. } => consts.get(name).copied(),
+        Expr::Name { name, .. } => consts.get(name.as_str()).copied(),
         Expr::Binary { op, lhs, rhs, .. } => {
             let l = eval_const(lhs, consts)?;
             let r = eval_const(rhs, consts)?;
@@ -529,23 +541,6 @@ fn eval_const(e: &Expr, consts: &BTreeMap<String, i128>) -> Option<i128> {
     }
 }
 
-struct GlobalScope {
-    slots: BTreeMap<String, SlotInfo>,
-}
-
-impl GlobalScope {
-    fn new(spec: &Spec) -> Self {
-        let mut slots = BTreeMap::new();
-        for p in &spec.ports {
-            slots.insert(p.name.clone(), slot_info(&p.name, SlotKind::Port(p.direction), &p.ty));
-        }
-        for v in &spec.vars {
-            slots.insert(v.name.clone(), slot_info(&v.name, SlotKind::Global, &v.ty));
-        }
-        GlobalScope { slots }
-    }
-}
-
 fn slot_info(name: &str, kind: SlotKind, ty: &Type) -> SlotInfo {
     SlotInfo {
         name: name.to_owned(),
@@ -561,8 +556,7 @@ fn slot_info(name: &str, kind: SlotKind, ty: &Type) -> SlotInfo {
 }
 
 struct Builder<'a> {
-    globals: &'a GlobalScope,
-    consts: &'a BTreeMap<String, i128>,
+    cx: &'a FlowLowering<'a>,
     slots: Vec<SlotInfo>,
     by_name: BTreeMap<String, u32>,
     nodes: Vec<FlowNode>,
@@ -571,14 +565,9 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn lower(
-        decl: &BehaviorDecl,
-        globals: &'a GlobalScope,
-        consts: &'a BTreeMap<String, i128>,
-    ) -> FlowBehavior {
+    fn lower(decl: &BehaviorDecl, cx: &'a FlowLowering<'a>) -> FlowBehavior {
         let mut b = Builder {
-            globals,
-            consts,
+            cx,
             slots: Vec::new(),
             by_name: BTreeMap::new(),
             nodes: Vec::new(),
@@ -657,11 +646,11 @@ impl<'a> Builder<'a> {
         if let Some(&i) = self.by_name.get(name) {
             return Some(i);
         }
-        if self.consts.contains_key(name) {
+        if self.cx.consts.contains_key(name) {
             return None;
         }
-        let info = self.globals.slots.get(name)?.clone();
-        Some(self.add_slot(info))
+        let &(kind, ty) = self.cx.globals.get(name)?;
+        Some(self.add_slot(slot_info(name, kind, ty)))
     }
 
     fn add(&mut self, op: FlowOp, span: Span, synthetic: bool) -> u32 {
@@ -909,7 +898,7 @@ impl<'a> Builder<'a> {
                 if let Some(&i) = self.by_name.get(name) {
                     return FlowExpr::Slot(i);
                 }
-                if let Some(&v) = self.consts.get(name) {
+                if let Some(&v) = self.cx.consts.get(name.as_str()) {
                     return FlowExpr::Const(v);
                 }
                 match self.slot_of(name) {
@@ -1197,22 +1186,21 @@ mod tests {
     }
 
     #[test]
-    fn bottom_up_order_is_callee_first() {
-        let p = program(
-            "system T;\nvar x : int<8>;\n\
-             func F(v : int<8>) -> int<8> { return v + 1; }\n\
-             proc Mid() { x = F(x); }\n\
-             process Main { call Mid(); }\n",
-        );
-        let order = p.bottom_up_order();
-        let pos = |name: &str| {
-            order
-                .iter()
-                .position(|&i| p.behaviors[i].name == name)
-                .expect("behavior in order")
-        };
-        assert!(pos("F") < pos("Mid"));
-        assert!(pos("Mid") < pos("Main"));
+    fn lowering_one_behavior_matches_the_whole_program() {
+        let src = "system T;\nconst N = 4;\nport p : in int<8>;\nvar x : int<8>;\n\
+                   func F(v : int<8>) -> int<8> { return v + N; }\n\
+                   process Main { x = F(p); wait 1; }\n";
+        let spec = parse(src).expect("parse");
+        let whole = FlowProgram::from_spec(&spec);
+        let cx = FlowLowering::new(&spec);
+        for (decl, b) in spec.behaviors.iter().zip(&whole.behaviors) {
+            let one = cx.lower(decl);
+            assert_eq!(one.hash, b.hash, "{}", decl.name);
+            assert_eq!(one.nodes, b.nodes, "{}", decl.name);
+            assert_eq!(one.slots, b.slots, "{}", decl.name);
+        }
+        assert_eq!(whole.position("Main"), Some(1));
+        assert_eq!(whole.position("Nope"), None);
     }
 
     #[test]

@@ -52,7 +52,8 @@ mod token;
 pub use ast::{eq_modulo_spans, ForEachSpan, Spec};
 pub use diag::{codes, Diagnostic, Severity, SpecError};
 pub use flow::{
-    FlowBehavior, FlowExpr, FlowNode, FlowOp, FlowProgram, SlotInfo, SlotKind, Suppressions,
+    FlowBehavior, FlowExpr, FlowLowering, FlowNode, FlowOp, FlowProgram, SlotInfo, SlotKind,
+    Suppressions,
 };
 pub use incremental::{
     reparse_with_edit, reparse_with_edit_owned, EditDelta, EditError, Reparse, ReparseScope,

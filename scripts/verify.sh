@@ -78,7 +78,13 @@
 #    the warm pass beats the cold full analysis by ≥5x and returns a
 #    bit-identical report — and rewrites BENCH_analyze.json so the
 #    committed record matches the code.
-# 13. Lint gate: clippy with warnings denied (the workspace sweep covers
+# 13. Benchmark smoke: the slifbench package's own tests (generator
+#    determinism and counts, statistics, spans), then a 5-second
+#    edit_session run. Every op of that run checks its edits' tiers and
+#    that each document's session ends `==` a cold open (reports with
+#    flow findings and spans included); the step fails unless the run's
+#    result line reads `"correct": true`.
+# 14. Lint gate: clippy with warnings denied (the workspace sweep covers
 #    crates/analyze like every other crate), plus `unwrap_used` on
 #    non-test code (without --all-targets, #[cfg(test)] code is not
 #    linted, which is exactly the carve-out we want: tests may unwrap,
@@ -114,4 +120,9 @@ cargo test -q --test format_soak
 cargo run --release --quiet --example slif_conv
 cargo run --release --quiet -p slif-bench --bin pr9_wirefmt
 cargo run --release --quiet -p slif-bench --bin pr10_analyze
+cargo test --release --offline --manifest-path slifbench/Cargo.toml
+bench_out=$(cargo run --release --offline --quiet --manifest-path slifbench/Cargo.toml -- \
+    --workload edit_session --seed 1 --seconds 5 --trace 0)
+echo "$bench_out" | tail -n 1
+echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
 cargo clippy --workspace -- -D warnings -W clippy::unwrap_used
