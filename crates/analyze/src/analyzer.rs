@@ -218,7 +218,9 @@ fn analyze_inner(
         None => Sink::new(config),
     };
     let mut sink = new_sink();
-    race::run(&ctx, &mut sink);
+    // A010 findings go to a second sink that closes the pass sequence.
+    let mut tail = new_sink();
+    race::run(&ctx, &mut sink, &mut tail);
     reach::run(&ctx, &mut sink);
     cycle::run(&ctx, &mut sink);
     bitwidth::run(&ctx, &mut sink);
@@ -234,9 +236,7 @@ fn analyze_inner(
 
     // A010 closes the pass sequence so memoized and unmemoized runs
     // order findings identically. It reads only the CSR (frequencies),
-    // so it runs with or without a flow program.
-    let mut tail = new_sink();
-    race::run_unproven(&ctx, &mut tail);
+    // so it is reported with or without a flow program.
     let (tail_findings, tail_suppressed) = tail.into_parts();
     findings.extend(tail_findings);
     suppressed += tail_suppressed;

@@ -15,9 +15,10 @@
 //! | flow (A006–A009)   | the spec's behavior bodies, per behavior    |
 //! | `race` (A010)      | topology, channel tags and frequencies, partition |
 //!
-//! A frequency-only edit re-runs just the two race passes (the
-//! proven/unproven split is a happens-before judgment over observed
-//! frequencies); a weight tweak re-runs `annotation` alone; any text
+//! A frequency-only edit re-runs just the race pass, which fills both
+//! the `A001` and the `A010` slot from one walk (the proven/unproven
+//! split is a happens-before judgment over observed frequencies); a
+//! weight tweak re-runs `annotation` alone; any text
 //! edit re-runs the flow passes, which are sliced a second time, per
 //! behavior.
 //!
@@ -47,8 +48,9 @@ use crate::{annotation, bitwidth, cycle, race, reach};
 use slif_core::{AnnotationDelta, CompiledDesign, Partition};
 use slif_speclang::{Spec, Suppressions};
 
-/// Number of lint passes, in execution order: the five design-level
-/// passes, the four flow passes, and the trailing `A010` race pass.
+/// Number of lint pass slots, in execution order: the five design-level
+/// passes, the four flow passes, and the trailing `A010` slot the race
+/// pass fills alongside `A001`.
 const PASSES: usize = 10;
 
 /// Index of the first flow pass (`A006`) in execution order.
@@ -70,10 +72,11 @@ pub struct AnalysisDirt {
     /// Re-run every pass regardless of the other flags.
     pub everything: bool,
     /// Some channel's bit width or concurrency tag changed
-    /// (`race`, `bitwidth`, and the `A010` pass re-run).
+    /// (`race`, for both `A001` and `A010`, and `bitwidth` re-run).
     pub chan_bits_or_tags: bool,
-    /// Some channel's access frequency changed (both race passes
-    /// re-run: frequencies decide the proven/unproven split).
+    /// Some channel's access frequency changed (`race` re-runs for
+    /// both `A001` and `A010`: frequencies decide the proven/unproven
+    /// split).
     pub chan_freqs: bool,
     /// Some node's weight row changed (`annotation` re-runs).
     pub weights: bool,
@@ -106,12 +109,12 @@ impl AnalysisDirt {
             return true;
         }
         match i {
-            0 => self.chan_bits_or_tags || self.chan_freqs, // race: tags + freqs
-            1 | 2 => false,                                 // reach, cycle: topology only
-            3 => self.chan_bits_or_tags,                    // bitwidth: channel bits
-            4 => self.weights,                              // annotation: weight tables
-            5..=8 => self.flow,                             // flow passes: flow program
-            _ => self.chan_bits_or_tags || self.chan_freqs, // A010: tags + freqs
+            1 | 2 => false,              // reach, cycle: topology only
+            3 => self.chan_bits_or_tags, // bitwidth: channel bits
+            4 => self.weights,           // annotation: weight tables
+            5..=8 => self.flow,          // flow passes: flow program
+            // race, A001 (0) and A010 (9): tags + freqs
+            _ => self.chan_bits_or_tags || self.chan_freqs,
         }
     }
 }
@@ -279,14 +282,26 @@ pub fn analyze_compiled_memoized_with_flow(
         None => Sink::new(config),
     };
 
-    let runners: [fn(&Ctx<'_>, &mut Sink<'_>); FLOW_BASE] = [
-        race::run,
-        reach::run,
-        cycle::run,
-        bitwidth::run,
-        annotation::run,
-    ];
-    for (i, run) in runners.iter().enumerate() {
+    // A001 (first slot) and A010 (last slot) come from one race walk,
+    // so they go stale, and re-run, together.
+    if seeded && !dirt.stale(0) {
+        memo.reused += 2;
+    } else {
+        let (mut a001, mut a010) = (new_sink(), new_sink());
+        race::run(&ctx, &mut a001, &mut a010);
+        for (slot, sink) in [(0, a001), (PASSES - 1, a010)] {
+            let (findings, suppressed) = sink.into_parts();
+            passes[slot] = PassCache {
+                findings,
+                suppressed,
+            };
+        }
+        memo.ran += 2;
+    }
+
+    let runners: [fn(&Ctx<'_>, &mut Sink<'_>); FLOW_BASE - 1] =
+        [reach::run, cycle::run, bitwidth::run, annotation::run];
+    for (i, run) in (1..).zip(runners) {
         if seeded && !dirt.stale(i) {
             memo.reused += 1;
             continue;
@@ -319,19 +334,6 @@ pub fn analyze_compiled_memoized_with_flow(
             passes[FLOW_BASE + p] = PassCache::default();
             memo.ran += 1;
         }
-    }
-
-    if seeded && !dirt.stale(PASSES - 1) {
-        memo.reused += 1;
-    } else {
-        let mut sink = new_sink();
-        race::run_unproven(&ctx, &mut sink);
-        let (findings, suppressed) = sink.into_parts();
-        passes[PASSES - 1] = PassCache {
-            findings,
-            suppressed,
-        };
-        memo.ran += 1;
     }
 
     let mut findings: Vec<Finding> = passes

@@ -28,26 +28,9 @@ use crate::analyzer::{Ctx, Sink};
 use crate::lint::LintId;
 use slif_core::{AccessKind, AccessTarget, ConcurrencyTag, NodeId, Partition};
 
-/// Which half of the refined `A001` split a run reports.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Proven races only (`A001`).
-    Proven,
-    /// Topologically possible but unproven interleavings only (`A010`).
-    Unproven,
-}
-
-/// The `A001` pass: proven races.
-pub(crate) fn run(ctx: &Ctx<'_>, sink: &mut Sink<'_>) {
-    run_mode(ctx, sink, Mode::Proven);
-}
-
-/// The `A010` pass: unproven interleavings.
-pub(crate) fn run_unproven(ctx: &Ctx<'_>, sink: &mut Sink<'_>) {
-    run_mode(ctx, sink, Mode::Unproven);
-}
-
-fn run_mode(ctx: &Ctx<'_>, sink: &mut Sink<'_>, mode: Mode) {
+/// The race pass: proven races go to `a001`, unproven interleavings to
+/// `a010`, from one walk over one pair of reachability matrices.
+pub(crate) fn run(ctx: &Ctx<'_>, a001: &mut Sink<'_>, a010: &mut Sink<'_>) {
     let cd = ctx.cd;
     let procs = cd.process_nodes();
     if procs.len() < 2 {
@@ -111,24 +94,22 @@ fn run_mode(ctx: &Ctx<'_>, sink: &mut Sink<'_>, mode: Mode) {
                             continue;
                         }
                         proven_keys.push(key);
-                        if mode == Mode::Proven {
-                            sink.emit(
-                                LintId::SharedVariableRace,
-                                Some(v),
-                                Some(c1),
-                                format!(
-                                    "variable {v} ({}) can be accessed concurrently with a write: \
-                                     processes {} ({}) and {} ({}) reach channels {c1} and {c2} \
-                                     with overlapping concurrency, and the partition does not \
-                                     serialize them",
-                                    cd.node_name(v),
-                                    procs[key.0],
-                                    cd.node_name(procs[key.0]),
-                                    procs[key.1],
-                                    cd.node_name(procs[key.1]),
-                                ),
-                            );
-                        }
+                        a001.emit(
+                            LintId::SharedVariableRace,
+                            Some(v),
+                            Some(c1),
+                            format!(
+                                "variable {v} ({}) can be accessed concurrently with a write: \
+                                 processes {} ({}) and {} ({}) reach channels {c1} and {c2} \
+                                 with overlapping concurrency, and the partition does not \
+                                 serialize them",
+                                cd.node_name(v),
+                                procs[key.0],
+                                cd.node_name(procs[key.0]),
+                                procs[key.1],
+                                cd.node_name(procs[key.1]),
+                            ),
+                        );
                     }
                     None => {
                         let key = (pa.min(pb), pa.max(pb));
@@ -139,29 +120,27 @@ fn run_mode(ctx: &Ctx<'_>, sink: &mut Sink<'_>, mode: Mode) {
                 }
             }
         }
-        if mode == Mode::Unproven {
-            for (key, c1, c2) in unproven {
-                if proven_keys.contains(&key) {
-                    continue; // already a deny-level A001 for this pair
-                }
-                sink.emit(
-                    LintId::UnprovenInterleaving,
-                    Some(v),
-                    Some(c1),
-                    format!(
-                        "variable {v} ({}) may interleave with a write: processes \
-                         {} ({}) and {} ({}) reach channels {c1} and {c2} with \
-                         overlapping concurrency, but no observed execution proves \
-                         the interleaving (a reaching channel has zero access \
-                         frequency)",
-                        cd.node_name(v),
-                        procs[key.0],
-                        cd.node_name(procs[key.0]),
-                        procs[key.1],
-                        cd.node_name(procs[key.1]),
-                    ),
-                );
+        for (key, c1, c2) in unproven {
+            if proven_keys.contains(&key) {
+                continue; // already a deny-level A001 for this pair
             }
+            a010.emit(
+                LintId::UnprovenInterleaving,
+                Some(v),
+                Some(c1),
+                format!(
+                    "variable {v} ({}) may interleave with a write: processes \
+                     {} ({}) and {} ({}) reach channels {c1} and {c2} with \
+                     overlapping concurrency, but no observed execution proves \
+                     the interleaving (a reaching channel has zero access \
+                     frequency)",
+                    cd.node_name(v),
+                    procs[key.0],
+                    cd.node_name(procs[key.0]),
+                    procs[key.1],
+                    cd.node_name(procs[key.1]),
+                ),
+            );
         }
     }
 }

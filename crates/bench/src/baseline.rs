@@ -5,8 +5,8 @@
 //! lookup, `Vec`-collecting graph walks for adjacency, and a full
 //! node-table scan inside the cost function. This module is a faithful
 //! copy of that path (default configuration, which is all the benches
-//! use), so `benches/compiled_speedup.rs` and the `pr3_bench` binary can
-//! measure what the compiled layer buys. It is **not** public API beyond
+//! use), so the `pr3_bench` binary can measure what the compiled layer
+//! buys. It is **not** public API beyond
 //! the bench harness and is deliberately frozen — do not "optimize" it.
 
 use slif_core::{

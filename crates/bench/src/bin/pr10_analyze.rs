@@ -7,7 +7,10 @@
 //!   design nodes run through the full flow-sensitive analyzer
 //!   (`analyze_compiled_with_flow`: graph passes A001–A005 plus the
 //!   dataflow passes A006–A009 and the unproven-interleaving pass A010),
-//!   reporting nodes analyzed per second.
+//!   reporting nodes analyzed per second. The 1k and 10k rungs run one
+//!   untimed warm-up round, then record the minimum of 5 and 3 timed
+//!   rounds; the 100k rung times a single round. Each rung records its
+//!   timed round count.
 //! - **Memoized re-analysis** — the largest corpus spec (`ether`) with
 //!   one procedure's body edited: a warm
 //!   [`analyze_compiled_memoized_with_flow`] pass (flow-only dirt and a
@@ -59,7 +62,9 @@ fn synth_spec(processes: usize, vars: usize) -> String {
 }
 
 /// Full flow-sensitive analysis over a synthetic spec of roughly
-/// `processes + vars` design nodes. Returns (nodes, flow_nodes, ns).
+/// `processes + vars` design nodes. Returns (nodes, flow_nodes, ns),
+/// where `ns` is the minimum over `rounds` timed rounds, preceded by one
+/// untimed warm-up round when there is more than one.
 fn throughput(processes: usize, vars: usize, rounds: usize) -> (usize, usize, f64) {
     let source = synth_spec(processes, vars);
     // The 100k-node rung is legitimately bigger than the serving-side
@@ -75,17 +80,17 @@ fn throughput(processes: usize, vars: usize, rounds: usize) -> (usize, usize, f6
     let nodes = design.graph().node_count();
     let cd = CompiledDesign::compile(&design);
     let config = AnalysisConfig::new();
-    let ns = median(
-        (0..rounds)
-            .map(|_| {
-                let start = Instant::now();
-                let report = analyze_compiled_with_flow(&cd, None, &config, &flow, None);
-                let ns = start.elapsed().as_nanos() as f64;
-                black_box(report);
-                ns
-            })
-            .collect(),
-    );
+    let time = || {
+        let start = Instant::now();
+        let report = analyze_compiled_with_flow(&cd, None, &config, &flow, None);
+        let ns = start.elapsed().as_nanos() as f64;
+        black_box(report);
+        ns
+    };
+    if rounds > 1 {
+        time();
+    }
+    let ns = (0..rounds).map(|_| time()).fold(f64::INFINITY, f64::min);
     (nodes, flow_nodes, ns)
 }
 
@@ -115,7 +120,7 @@ fn main() {
         }
         write!(
             entries,
-            "\n    {{\"nodes\": {nodes}, \"flow_nodes\": {flow_nodes}, \
+            "\n    {{\"nodes\": {nodes}, \"flow_nodes\": {flow_nodes}, \"rounds\": {rounds}, \
              \"analyze_ns\": {ns:.1}, \"nodes_per_sec\": {nodes_per_sec:.0}}}"
         )
         .expect("write to string");

@@ -32,7 +32,6 @@
 //! * [`CompiledDesign`] — an immutable, query-optimized (CSR adjacency,
 //!   dense weight tables) snapshot of a finished design for the
 //!   estimation hot path,
-//! * [`text`] — a round-tripping textual serialization,
 //! * [`dot`] — Graphviz export reproducing the paper's Figures 2 and 3,
 //! * [`gen`] — synthetic design generation for tests and benchmarks.
 //!
@@ -92,7 +91,6 @@ pub mod atomic_io;
 pub mod dot;
 pub mod faults;
 pub mod gen;
-pub mod text;
 pub mod validate;
 
 pub use annotation::{AccessFreq, ConcurrencyTag, FreqMode, WeightEntry, WeightList};

@@ -35,6 +35,7 @@ pub mod wirefmt;
 
 pub use add::{build_add, build_spec_add, AddGraph, AddNode};
 pub use report::{FormatComparison, FormatRow};
+pub use slif_store::ContentKey;
 pub use wirefmt::{
     detect_encoding, read_bytes, write_bytes, Encoding, FormatError, FormatLimits, ReadOutcome,
     Strictness,

@@ -10,15 +10,16 @@
 //!
 //! | kind | segment | body |
 //! |-----:|---------|------|
-//! | 1 | header | design name |
-//! | 2 | classes | count, then name + kind byte each |
-//! | 3 | ports | count, then name + direction + bits each |
-//! | 4 | nodes (chunked) | count, then name + kind + ict/size weights each |
-//! | 5 | channels (chunked) | count, then src/dst ordinals + kind + freq + bits + tag each |
-//! | 6 | components | processors, memories, buses |
+//! | 1–6 | design | the canonical design segments ([`slif_store::canonical`]) |
 //! | 7 | partition (chunked) | node→component and channel→bus assignments |
 //! | 8 | group (extension) | nested frames, validated and skipped |
 //! | 9 | end | 32-byte content key of the design's canonical bytes |
+//!
+//! The design frames carry the payloads of one
+//! [`slif_store::encode_design`] call, one frame each,
+//! and the end key is the SHA-256 of those same bytes; the reader
+//! hands design segments to the store's [`SegmentDecoder`], so the
+//! design record layout is written in one place.
 //!
 //! Unknown kinds are skipped with a warning. The reader checks each
 //! frame's *declared* length against
@@ -34,31 +35,19 @@
 use std::io::{Read, Write};
 
 use slif_core::atomic_io::{frame, le_u32, le_u64, unframe, FrameError, FRAME_HEADER_LEN};
-use slif_core::{
-    AccessFreq, AccessKind, AccessTarget, Bus, ChannelId, ClassId, ClassKind, ConcurrencyTag,
-    Design, Memory, NodeId, NodeKind, Partition, PmRef, PortDirection, PortId, Processor,
-    WeightEntry,
-};
+use slif_core::{BusId, ChannelId, Design, MemoryId, NodeId, Partition, PmRef, ProcessorId};
 use slif_speclang::{codes, Diagnostic, Span};
+use slif_store::canonical::{segment_payloads, SegmentDecoder, SegmentError};
+pub use slif_store::canonical::{
+    SEG_CHANNELS, SEG_CLASSES, SEG_COMPONENTS, SEG_HEADER, SEG_NODES, SEG_PORTS,
+};
 use slif_store::codec::{Dec, Enc};
-use slif_store::{ContentKey, StoreError};
+use slif_store::{encode_design, ContentKey};
 
 use super::{
     io_err, FormatError, FormatLimits, ReadOutcome, Strictness, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 
-/// Segment kind: design name.
-pub const SEG_HEADER: u8 = 1;
-/// Segment kind: component classes.
-pub const SEG_CLASSES: u8 = 2;
-/// Segment kind: external ports.
-pub const SEG_PORTS: u8 = 3;
-/// Segment kind: a chunk of nodes with their weight annotations.
-pub const SEG_NODES: u8 = 4;
-/// Segment kind: a chunk of channels.
-pub const SEG_CHANNELS: u8 = 5;
-/// Segment kind: processor, memory, and bus instances.
-pub const SEG_COMPONENTS: u8 = 6;
 /// Segment kind: a chunk of partition assignments.
 pub const SEG_PARTITION: u8 = 7;
 /// Segment kind: extension container of nested frames (skipped).
@@ -66,28 +55,23 @@ pub const SEG_GROUP: u8 = 8;
 /// Segment kind: trailer carrying the design's content key.
 pub const SEG_END: u8 = 9;
 
-const NODES_PER_SEGMENT: usize = 1024;
-const CHANNELS_PER_SEGMENT: usize = 4096;
 const PARTITION_PER_SEGMENT: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
-fn emit<W: Write>(w: &mut W, kind: u8, body: Enc) -> Result<(), FormatError> {
-    let mut payload = Vec::with_capacity(1 + body.buf.len());
-    payload.push(kind);
-    payload.extend_from_slice(&body.buf);
-    w.write_all(&frame(&SEGMENT_MAGIC, SEGMENT_VERSION, &payload))
+fn emit<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FormatError> {
+    w.write_all(&frame(&SEGMENT_MAGIC, SEGMENT_VERSION, payload))
         .map_err(|e| io_err("binary write", &e))
 }
 
 /// Writes `design` (and `partition`, when given) as `.slifb` segments.
 ///
-/// Large object families are split into bounded chunks
-/// (1024 nodes / 4096 channels / 4096 assignments per segment), so the
-/// writer never holds more than one segment's payload in memory and a
-/// reader can impose a modest segment cap.
+/// The design segments are the payloads of the design's canonical
+/// bytes, framed one by one; their chunking (1024 nodes / 4096 channels
+/// per segment, 4096 assignments per partition segment) bounds every
+/// segment, so a reader can impose a modest segment cap.
 ///
 /// # Errors
 ///
@@ -97,169 +81,20 @@ pub fn write_binary<W: Write>(
     partition: Option<&Partition>,
     w: &mut W,
 ) -> Result<(), FormatError> {
-    let g = design.graph();
-
-    let mut body = Enc::default();
-    body.bytes(design.name().as_bytes());
-    emit(w, SEG_HEADER, body)?;
-
-    let mut body = Enc::default();
-    body.u32(design.class_count() as u32);
-    for k in design.class_ids() {
-        let c = design.class(k);
-        body.bytes(c.name().as_bytes());
-        body.u8(match c.kind() {
-            ClassKind::StdProcessor => 0,
-            ClassKind::CustomHw => 1,
-            ClassKind::Memory => 2,
-        });
+    let canonical = encode_design(design);
+    for payload in segment_payloads(&canonical) {
+        emit(w, payload)?;
     }
-    emit(w, SEG_CLASSES, body)?;
-
-    let mut body = Enc::default();
-    body.u32(g.port_count() as u32);
-    for p in g.port_ids() {
-        let port = g.port(p);
-        body.bytes(port.name().as_bytes());
-        body.u8(match port.direction() {
-            PortDirection::In => 0,
-            PortDirection::Out => 1,
-            PortDirection::InOut => 2,
-        });
-        body.u32(port.bits());
-    }
-    emit(w, SEG_PORTS, body)?;
-
-    let nodes: Vec<_> = g.node_ids().collect();
-    for chunk in nodes.chunks(NODES_PER_SEGMENT) {
-        let mut body = Enc::default();
-        body.u32(chunk.len() as u32);
-        for &n in chunk {
-            let node = g.node(n);
-            body.bytes(node.name().as_bytes());
-            match node.kind() {
-                NodeKind::Behavior { process } => body.u8(u8::from(!process)),
-                NodeKind::Variable { words, word_bits } => {
-                    body.u8(2);
-                    body.u64(words);
-                    body.u32(word_bits);
-                }
-            }
-            let icts: Vec<_> = node.ict().iter().collect();
-            body.u32(icts.len() as u32);
-            for e in icts {
-                body.u32(e.class.index() as u32);
-                body.u64(e.val);
-            }
-            let sizes: Vec<_> = node.size().iter().collect();
-            body.u32(sizes.len() as u32);
-            for e in sizes {
-                body.u32(e.class.index() as u32);
-                body.u64(e.val);
-                match e.datapath {
-                    Some(dp) => {
-                        body.u8(1);
-                        body.u64(dp);
-                    }
-                    None => body.u8(0),
-                }
-            }
-        }
-        emit(w, SEG_NODES, body)?;
-    }
-
-    let channels: Vec<_> = g.channel_ids().collect();
-    for chunk in channels.chunks(CHANNELS_PER_SEGMENT) {
-        let mut body = Enc::default();
-        body.u32(chunk.len() as u32);
-        for &c in chunk {
-            let ch = g.channel(c);
-            body.u32(ch.src().index() as u32);
-            match ch.dst() {
-                AccessTarget::Node(n) => {
-                    body.u8(0);
-                    body.u32(n.index() as u32);
-                }
-                AccessTarget::Port(p) => {
-                    body.u8(1);
-                    body.u32(p.index() as u32);
-                }
-            }
-            body.u8(match ch.kind() {
-                AccessKind::Call => 0,
-                AccessKind::Read => 1,
-                AccessKind::Write => 2,
-                AccessKind::Message => 3,
-            });
-            let f = ch.freq();
-            body.f64(f.avg);
-            body.u64(f.min);
-            body.u64(f.max);
-            body.u32(ch.bits());
-            match ch.tag().id() {
-                None => body.u8(0),
-                Some(grp) => {
-                    body.u8(1);
-                    body.u32(grp);
-                }
-            }
-        }
-        emit(w, SEG_CHANNELS, body)?;
-    }
-
-    let mut body = Enc::default();
-    body.u32(design.processor_count() as u32);
-    for p in design.processor_ids() {
-        let proc = design.processor(p);
-        body.bytes(proc.name().as_bytes());
-        body.u32(proc.class().index() as u32);
-        let flags = u8::from(proc.size_constraint().is_some())
-            | (u8::from(proc.pin_constraint().is_some()) << 1);
-        body.u8(flags);
-        if let Some(s) = proc.size_constraint() {
-            body.u64(s);
-        }
-        if let Some(pins) = proc.pin_constraint() {
-            body.u32(pins);
-        }
-    }
-    body.u32(design.memory_count() as u32);
-    for m in design.memory_ids() {
-        let mem = design.memory(m);
-        body.bytes(mem.name().as_bytes());
-        body.u32(mem.class().index() as u32);
-        match mem.size_constraint() {
-            Some(s) => {
-                body.u8(1);
-                body.u64(s);
-            }
-            None => body.u8(0),
-        }
-    }
-    body.u32(design.bus_count() as u32);
-    for b in design.bus_ids() {
-        let bus = design.bus(b);
-        body.bytes(bus.name().as_bytes());
-        body.u32(bus.bitwidth());
-        body.u64(bus.ts());
-        body.u64(bus.td());
-        match bus.capacity() {
-            Some(cap) => {
-                body.u8(1);
-                body.f64(cap);
-            }
-            None => body.u8(0),
-        }
-    }
-    emit(w, SEG_COMPONENTS, body)?;
 
     if let Some(part) = partition {
+        let g = design.graph();
         let maps: Vec<_> = g
             .node_ids()
             .filter_map(|n| part.node_component(n).map(|c| (n, c)))
             .collect();
         for chunk in maps.chunks(PARTITION_PER_SEGMENT) {
             let mut body = Enc::default();
+            body.u8(SEG_PARTITION);
             body.u32(chunk.len() as u32);
             for (n, comp) in chunk {
                 body.u32(n.index() as u32);
@@ -275,7 +110,7 @@ pub fn write_binary<W: Write>(
                 }
             }
             body.u32(0);
-            emit(w, SEG_PARTITION, body)?;
+            emit(w, &body.buf)?;
         }
         let chans: Vec<_> = g
             .channel_ids()
@@ -283,27 +118,27 @@ pub fn write_binary<W: Write>(
             .collect();
         for chunk in chans.chunks(PARTITION_PER_SEGMENT) {
             let mut body = Enc::default();
+            body.u8(SEG_PARTITION);
             body.u32(0);
             body.u32(chunk.len() as u32);
             for (c, b) in chunk {
                 body.u32(c.index() as u32);
                 body.u32(b.index() as u32);
             }
-            emit(w, SEG_PARTITION, body)?;
+            emit(w, &body.buf)?;
         }
         if maps.is_empty() && chans.is_empty() {
             let mut body = Enc::default();
+            body.u8(SEG_PARTITION);
             body.u32(0);
             body.u32(0);
-            emit(w, SEG_PARTITION, body)?;
+            emit(w, &body.buf)?;
         }
     }
 
-    let key = ContentKey::of(&slif_store::encode_design(design));
-    let mut body = Enc::default();
-    body.buf.extend_from_slice(&key.0);
-    emit(w, SEG_END, body)?;
-    Ok(())
+    let mut end = vec![SEG_END];
+    end.extend_from_slice(&ContentKey::of(&canonical).0);
+    emit(w, &end)
 }
 
 // ---------------------------------------------------------------------------
@@ -621,12 +456,9 @@ fn frame_resyncable(e: &FormatError) -> bool {
 
 struct BinFold<'l> {
     limits: &'l FormatLimits,
-    design: Option<Design>,
+    decoder: SegmentDecoder,
     partition: Option<Partition>,
     diagnostics: Vec<Diagnostic>,
-    seen_classes: bool,
-    seen_ports: bool,
-    seen_components: bool,
     declared_key: Option<[u8; 32]>,
     done: bool,
 }
@@ -635,12 +467,9 @@ impl<'l> BinFold<'l> {
     fn new(limits: &'l FormatLimits) -> Self {
         Self {
             limits,
-            design: None,
+            decoder: SegmentDecoder::new(limits.graph),
             partition: None,
             diagnostics: Vec::new(),
-            seen_classes: false,
-            seen_ports: false,
-            seen_components: false,
             declared_key: None,
             done: false,
         }
@@ -676,408 +505,91 @@ impl<'l> BinFold<'l> {
 
     fn apply(&mut self, seg: &Segment) -> Result<(), FormatError> {
         let offset = seg.offset;
-        let mal = |message: String| FormatError::Malformed {
-            line: 0,
-            offset,
-            message,
-        };
-        let store = |e: StoreError| {
-            FormatError::Malformed {
+        let refused = |e: SegmentError| match e {
+            SegmentError::Malformed(message) => FormatError::Malformed {
                 line: 0,
                 offset,
-                message: match e {
-                    StoreError::Corrupt { context } => format!("segment body: {context}"),
-                    other => other.to_string(),
-                },
-            }
+                message,
+            },
+            SegmentError::Duplicate(section) => FormatError::DuplicateSection { section, line: 0 },
+            SegmentError::Graph(e) => FormatError::Graph(e),
         };
-        let mut d = Dec::new(&seg.payload);
-
         match seg.kind {
-            SEG_HEADER => {
-                if self.design.is_some() {
-                    return Err(FormatError::DuplicateSection {
-                        section: "header",
-                        line: 0,
-                    });
-                }
-                let name = std::str::from_utf8(d.bytes("design name").map_err(store)?)
-                    .map_err(|_| mal("design name utf-8".into()))?
-                    .to_owned();
-                d.finish().map_err(store)?;
-                self.design = Some(Design::new(name));
-                Ok(())
+            SEG_HEADER | SEG_CLASSES | SEG_PORTS | SEG_NODES | SEG_CHANNELS | SEG_COMPONENTS => {
+                self.decoder.apply(seg.kind, &seg.payload).map_err(refused)
             }
+            SEG_PARTITION => self.apply_partition(&seg.payload).map_err(refused),
             SEG_END => {
                 if self.declared_key.is_some() {
-                    return Err(FormatError::DuplicateSection {
-                        section: "end",
-                        line: 0,
-                    });
+                    return Err(refused(SegmentError::Duplicate("end")));
                 }
-                let raw = d.take(32, "end key").map_err(store)?;
+                let mut d = Dec::new(&seg.payload);
                 let mut key = [0u8; 32];
-                key.copy_from_slice(raw);
-                d.finish().map_err(store)?;
+                key.copy_from_slice(d.take(32, "end key").map_err(|e| refused(e.into()))?);
+                d.finish().map_err(|e| refused(e.into()))?;
                 self.declared_key = Some(key);
                 self.done = true;
                 Ok(())
             }
             SEG_GROUP => {
                 validate_group(&seg.payload, 1, self.limits.max_nesting_depth)
-                    .map_err(mal)?;
+                    .map_err(|m| refused(SegmentError::Malformed(m)))?;
                 self.warn(offset, "extension group segment skipped".into())
-            }
-            SEG_CLASSES | SEG_PORTS | SEG_NODES | SEG_CHANNELS | SEG_COMPONENTS
-            | SEG_PARTITION => {
-                let Some(mut design) = self.design.take() else {
-                    return Err(mal("content segment before the header segment".into()));
-                };
-                let r = self.apply_content(&mut design, seg.kind, &mut d, offset);
-                self.design = Some(design);
-                r.and_then(|()| d.finish().map_err(store))
             }
             other => self.warn(offset, format!("unknown segment kind {other} skipped")),
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn apply_content(
-        &mut self,
-        design: &mut Design,
-        kind: u8,
-        d: &mut Dec<'_>,
-        offset: usize,
-    ) -> Result<(), FormatError> {
-        let mal = |message: String| FormatError::Malformed {
-            line: 0,
-            offset,
-            message,
+    /// Decodes one partition segment to scratch, then applies it.
+    fn apply_partition(&mut self, body: &[u8]) -> Result<(), SegmentError> {
+        let bad = |what: &str| Err(SegmentError::Malformed(what.into()));
+        let Some(design) = self.decoder.design() else {
+            return bad("content segment before the header segment");
         };
-        let store = |e: StoreError| {
-            FormatError::Malformed {
-                line: 0,
-                offset,
-                message: match e {
-                    StoreError::Corrupt { context } => format!("segment body: {context}"),
-                    other => other.to_string(),
-                },
+        let mut d = Dec::new(body);
+        let mut maps = Vec::new();
+        for _ in 0..d.u32("partition map count")? {
+            let n = d.u32("partition node")?;
+            if n as usize >= design.graph().node_count() {
+                return bad("partition node ordinal");
             }
-        };
-        let limits = &self.limits.graph;
-        match kind {
-            SEG_CLASSES => {
-                if self.seen_classes {
-                    return Err(FormatError::DuplicateSection {
-                        section: "classes",
-                        line: 0,
-                    });
-                }
-                let count = d.u32("class count").map_err(store)?;
-                let mut scratch = Vec::new();
-                for _ in 0..count {
-                    let name = utf8(d.bytes("class name").map_err(store)?, "class name", &mal)?;
-                    let kind = match d.u8("class kind").map_err(store)? {
-                        0 => ClassKind::StdProcessor,
-                        1 => ClassKind::CustomHw,
-                        2 => ClassKind::Memory,
-                        _ => return Err(mal("class kind".into())),
-                    };
-                    scratch.push((name, kind));
-                }
-                for (name, kind) in scratch {
-                    if design.class_by_name(&name).is_some() {
-                        return Err(mal(format!("duplicate class `{name}`")));
+            let pm = match d.u8("partition component tag")? {
+                0 => {
+                    let o = d.u32("partition processor")?;
+                    if o as usize >= design.processor_count() {
+                        return bad("partition processor ordinal");
                     }
-                    design.add_class(name, kind);
+                    PmRef::Processor(ProcessorId::from_raw(o))
                 }
-                self.seen_classes = true;
-                Ok(())
-            }
-            SEG_PORTS => {
-                if self.seen_ports {
-                    return Err(FormatError::DuplicateSection {
-                        section: "ports",
-                        line: 0,
-                    });
-                }
-                let count = d.u32("port count").map_err(store)?;
-                let mut scratch = Vec::new();
-                for _ in 0..count {
-                    let name = utf8(d.bytes("port name").map_err(store)?, "port name", &mal)?;
-                    let dir = match d.u8("port direction").map_err(store)? {
-                        0 => PortDirection::In,
-                        1 => PortDirection::Out,
-                        2 => PortDirection::InOut,
-                        _ => return Err(mal("port direction".into())),
-                    };
-                    let bits = d.u32("port bits").map_err(store)?;
-                    scratch.push((name, dir, bits));
-                }
-                for (name, dir, bits) in scratch {
-                    design
-                        .graph_mut()
-                        .try_add_port_bounded(name, dir, bits, limits)?;
-                }
-                self.seen_ports = true;
-                Ok(())
-            }
-            SEG_NODES => {
-                let count = d.u32("node count").map_err(store)?;
-                let mut scratch = Vec::new();
-                for _ in 0..count {
-                    let name = utf8(d.bytes("node name").map_err(store)?, "node name", &mal)?;
-                    let kind = match d.u8("node kind").map_err(store)? {
-                        0 => NodeKind::process(),
-                        1 => NodeKind::procedure(),
-                        2 => {
-                            let words = d.u64("variable words").map_err(store)?;
-                            let bits = d.u32("variable word bits").map_err(store)?;
-                            NodeKind::array(words, bits)
-                        }
-                        _ => return Err(mal("node kind".into())),
-                    };
-                    let ict_count = d.u32("ict count").map_err(store)?;
-                    let mut icts = Vec::new();
-                    for _ in 0..ict_count {
-                        let k = class_ord(design, d.u32("ict class").map_err(store)?, &mal)?;
-                        icts.push((k, d.u64("ict value").map_err(store)?));
+                1 => {
+                    let o = d.u32("partition memory")?;
+                    if o as usize >= design.memory_count() {
+                        return bad("partition memory ordinal");
                     }
-                    let size_count = d.u32("size count").map_err(store)?;
-                    let mut sizes = Vec::new();
-                    for _ in 0..size_count {
-                        let k = class_ord(design, d.u32("size class").map_err(store)?, &mal)?;
-                        let val = d.u64("size value").map_err(store)?;
-                        let entry = match d.u8("size datapath flag").map_err(store)? {
-                            0 => WeightEntry::new(k, val),
-                            1 => {
-                                let dp = d.u64("size datapath").map_err(store)?;
-                                if dp > val {
-                                    return Err(mal(format!(
-                                        "datapath {dp} exceeds total weight {val}"
-                                    )));
-                                }
-                                WeightEntry::with_datapath(k, val, dp)
-                            }
-                            _ => return Err(mal("size datapath flag".into())),
-                        };
-                        sizes.push(entry);
-                    }
-                    scratch.push((name, kind, icts, sizes));
+                    PmRef::Memory(MemoryId::from_raw(o))
                 }
-                for (name, kind, icts, sizes) in scratch {
-                    let id = design.graph_mut().try_add_node_bounded(name, kind, limits)?;
-                    let node = design.graph_mut().node_mut(id);
-                    for (k, v) in icts {
-                        node.ict_mut().set(k, v);
-                    }
-                    for e in sizes {
-                        node.size_mut().insert(e);
-                    }
-                }
-                Ok(())
-            }
-            SEG_CHANNELS => {
-                let count = d.u32("channel count").map_err(store)?;
-                let mut scratch = Vec::new();
-                for _ in 0..count {
-                    let src_ord = d.u32("channel src").map_err(store)? as usize;
-                    if src_ord >= design.graph().node_count() {
-                        return Err(mal("channel src ordinal".into()));
-                    }
-                    let src = NodeId::from_raw(src_ord as u32);
-                    let dst = match d.u8("channel dst tag").map_err(store)? {
-                        0 => {
-                            let o = d.u32("channel dst node").map_err(store)? as usize;
-                            if o >= design.graph().node_count() {
-                                return Err(mal("channel dst node ordinal".into()));
-                            }
-                            AccessTarget::Node(NodeId::from_raw(o as u32))
-                        }
-                        1 => {
-                            let o = d.u32("channel dst port").map_err(store)? as usize;
-                            if o >= design.graph().port_count() {
-                                return Err(mal("channel dst port ordinal".into()));
-                            }
-                            AccessTarget::Port(PortId::from_raw(o as u32))
-                        }
-                        _ => return Err(mal("channel dst tag".into())),
-                    };
-                    let kind = match d.u8("channel kind").map_err(store)? {
-                        0 => AccessKind::Call,
-                        1 => AccessKind::Read,
-                        2 => AccessKind::Write,
-                        3 => AccessKind::Message,
-                        _ => return Err(mal("channel kind".into())),
-                    };
-                    let avg = d.f64("channel freq avg").map_err(store)?;
-                    let min = d.u64("channel freq min").map_err(store)?;
-                    let max = d.u64("channel freq max").map_err(store)?;
-                    let bits = d.u32("channel bits").map_err(store)?;
-                    let tag = match d.u8("channel tag flag").map_err(store)? {
-                        0 => ConcurrencyTag::SEQUENTIAL,
-                        1 => ConcurrencyTag::group(d.u32("channel tag group").map_err(store)?),
-                        _ => return Err(mal("channel tag flag".into())),
-                    };
-                    scratch.push((src, dst, kind, AccessFreq::new(avg, min, max), bits, tag));
-                }
-                for (src, dst, kind, freq, bits, tag) in scratch {
-                    let id = design
-                        .graph_mut()
-                        .try_add_channel_bounded(src, dst, kind, limits)?;
-                    let ch = design.graph_mut().channel_mut(id);
-                    *ch.freq_mut() = freq;
-                    ch.set_bits(bits);
-                    ch.set_tag(tag);
-                }
-                Ok(())
-            }
-            SEG_COMPONENTS => {
-                if self.seen_components {
-                    return Err(FormatError::DuplicateSection {
-                        section: "components",
-                        line: 0,
-                    });
-                }
-                let pcount = d.u32("processor count").map_err(store)?;
-                let mut procs = Vec::new();
-                for _ in 0..pcount {
-                    let name =
-                        utf8(d.bytes("processor name").map_err(store)?, "processor name", &mal)?;
-                    let k = class_ord(design, d.u32("processor class").map_err(store)?, &mal)?;
-                    if !design.class(k).kind().holds_behaviors() {
-                        return Err(mal(format!("class of processor `{name}` is a memory class")));
-                    }
-                    let flags = d.u8("processor flags").map_err(store)?;
-                    if flags > 3 {
-                        return Err(mal("processor flags".into()));
-                    }
-                    let mut proc = Processor::new(name, k);
-                    if flags & 1 != 0 {
-                        proc = proc.with_size_constraint(d.u64("processor size").map_err(store)?);
-                    }
-                    if flags & 2 != 0 {
-                        proc = proc.with_pin_constraint(d.u32("processor pins").map_err(store)?);
-                    }
-                    procs.push(proc);
-                }
-                let mcount = d.u32("memory count").map_err(store)?;
-                let mut mems = Vec::new();
-                for _ in 0..mcount {
-                    let name = utf8(d.bytes("memory name").map_err(store)?, "memory name", &mal)?;
-                    let k = class_ord(design, d.u32("memory class").map_err(store)?, &mal)?;
-                    if design.class(k).kind() != ClassKind::Memory {
-                        return Err(mal(format!("class of memory `{name}` is not a memory class")));
-                    }
-                    let mut mem = Memory::new(name, k);
-                    match d.u8("memory size flag").map_err(store)? {
-                        0 => {}
-                        1 => mem = mem.with_size_constraint(d.u64("memory size").map_err(store)?),
-                        _ => return Err(mal("memory size flag".into())),
-                    }
-                    mems.push(mem);
-                }
-                let bcount = d.u32("bus count").map_err(store)?;
-                let mut buses = Vec::new();
-                for _ in 0..bcount {
-                    let name = utf8(d.bytes("bus name").map_err(store)?, "bus name", &mal)?;
-                    let width = d.u32("bus width").map_err(store)?;
-                    if width == 0 {
-                        return Err(mal(format!("bus `{name}` has zero width")));
-                    }
-                    let ts = d.u64("bus ts").map_err(store)?;
-                    let td = d.u64("bus td").map_err(store)?;
-                    let mut bus = Bus::new(name, width, ts, td);
-                    match d.u8("bus capacity flag").map_err(store)? {
-                        0 => {}
-                        1 => bus = bus.with_capacity(d.f64("bus capacity").map_err(store)?),
-                        _ => return Err(mal("bus capacity flag".into())),
-                    }
-                    buses.push(bus);
-                }
-                for p in procs {
-                    if design.processor_by_name(p.name()).is_some() {
-                        return Err(mal(format!("duplicate processor `{}`", p.name())));
-                    }
-                    design.add_processor_instance(p);
-                }
-                for m in mems {
-                    if design.memory_by_name(m.name()).is_some() {
-                        return Err(mal(format!("duplicate memory `{}`", m.name())));
-                    }
-                    design.add_memory_instance(m);
-                }
-                for b in buses {
-                    if design.bus_by_name(b.name()).is_some() {
-                        return Err(mal(format!("duplicate bus `{}`", b.name())));
-                    }
-                    design.add_bus(b);
-                }
-                self.seen_components = true;
-                Ok(())
-            }
-            SEG_PARTITION => {
-                let mut part = match self.partition.take() {
-                    Some(p) => p,
-                    None => Partition::new(design),
-                };
-                let mcount = d.u32("partition map count").map_err(store)?;
-                let mut maps = Vec::new();
-                for _ in 0..mcount {
-                    let n = d.u32("partition node").map_err(store)? as usize;
-                    if n >= design.graph().node_count() {
-                        self.partition = Some(part);
-                        return Err(mal("partition node ordinal".into()));
-                    }
-                    let pm = match d.u8("partition component tag").map_err(store)? {
-                        0 => {
-                            let o = d.u32("partition processor").map_err(store)? as usize;
-                            if o >= design.processor_count() {
-                                self.partition = Some(part);
-                                return Err(mal("partition processor ordinal".into()));
-                            }
-                            PmRef::Processor(slif_core::ProcessorId::from_raw(o as u32))
-                        }
-                        1 => {
-                            let o = d.u32("partition memory").map_err(store)? as usize;
-                            if o >= design.memory_count() {
-                                self.partition = Some(part);
-                                return Err(mal("partition memory ordinal".into()));
-                            }
-                            PmRef::Memory(slif_core::MemoryId::from_raw(o as u32))
-                        }
-                        _ => {
-                            self.partition = Some(part);
-                            return Err(mal("partition component tag".into()));
-                        }
-                    };
-                    maps.push((NodeId::from_raw(n as u32), pm));
-                }
-                let ccount = d.u32("partition channel count").map_err(store)?;
-                let mut chans = Vec::new();
-                for _ in 0..ccount {
-                    let c = d.u32("partition channel").map_err(store)? as usize;
-                    let b = d.u32("partition bus").map_err(store)? as usize;
-                    if c >= design.graph().channel_count() || b >= design.bus_count() {
-                        self.partition = Some(part);
-                        return Err(mal("partition channel assignment".into()));
-                    }
-                    chans.push((
-                        ChannelId::from_raw(c as u32),
-                        slif_core::BusId::from_raw(b as u32),
-                    ));
-                }
-                for (n, pm) in maps {
-                    part.assign_node(n, pm);
-                }
-                for (c, b) in chans {
-                    part.assign_channel(c, b);
-                }
-                self.partition = Some(part);
-                Ok(())
-            }
-            _ => unreachable!("apply_content called for non-content kind"),
+                _ => return bad("partition component tag"),
+            };
+            maps.push((NodeId::from_raw(n), pm));
         }
+        let mut chans = Vec::new();
+        for _ in 0..d.u32("partition channel count")? {
+            let c = d.u32("partition channel")?;
+            let b = d.u32("partition bus")?;
+            if c as usize >= design.graph().channel_count() || b as usize >= design.bus_count() {
+                return bad("partition channel assignment");
+            }
+            chans.push((ChannelId::from_raw(c), BusId::from_raw(b)));
+        }
+        d.finish()?;
+        let part = self.partition.get_or_insert_with(|| Partition::new(design));
+        for (n, pm) in maps {
+            part.assign_node(n, pm);
+        }
+        for (c, b) in chans {
+            part.assign_channel(c, b);
+        }
+        Ok(())
     }
 
     fn finish(
@@ -1098,18 +610,18 @@ impl<'l> BinFold<'l> {
                 "input ended without an end trailer segment",
             ))?;
         }
-        let Some(design) = self.design.take() else {
+        let Some(design) = self.decoder.take_design() else {
             return Err(FormatError::MissingSection { section: "design" });
         };
         design.graph().check_limits(&self.limits.graph)?;
 
-        let actual = ContentKey::of(&slif_store::encode_design(&design));
+        let key = ContentKey::of(&encode_design(&design));
         let verified = match self.declared_key {
-            Some(declared) if declared == actual.0 => true,
+            Some(declared) if declared == key.0 => true,
             Some(declared) => {
                 let e = FormatError::ContentMismatch {
                     declared: ContentKey(declared).to_hex(),
-                    actual: actual.to_hex(),
+                    actual: key.to_hex(),
                 };
                 if !lenient {
                     return Err(e);
@@ -1129,30 +641,9 @@ impl<'l> BinFold<'l> {
             partition: self.partition,
             diagnostics: self.diagnostics,
             verified,
+            key,
             peak_alloc_bytes,
         })
-    }
-}
-
-fn utf8(
-    raw: &[u8],
-    what: &'static str,
-    mal: &dyn Fn(String) -> FormatError,
-) -> Result<String, FormatError> {
-    std::str::from_utf8(raw)
-        .map(str::to_owned)
-        .map_err(|_| mal(format!("{what} utf-8")))
-}
-
-fn class_ord(
-    design: &Design,
-    ord: u32,
-    mal: &dyn Fn(String) -> FormatError,
-) -> Result<ClassId, FormatError> {
-    if (ord as usize) < design.class_count() {
-        Ok(ClassId::from_raw(ord))
-    } else {
-        Err(mal("class ordinal out of range".into()))
     }
 }
 
@@ -1226,6 +717,30 @@ mod tests {
         assert!(out.diagnostics.is_empty());
         let second = write(&out.design, out.partition.as_ref());
         assert_eq!(second, bytes, "second write must be byte-identical");
+    }
+
+    #[test]
+    fn design_frames_are_the_canonical_segments_then_the_end_key() {
+        let (big, _) = slif_core::gen::DesignGenerator::new(8)
+            .behaviors(1200)
+            .variables(400)
+            .build();
+        for d in [sample_design().0, big] {
+            // Walk the canonical layout by hand: version byte, then
+            // u32-length-prefixed payloads.
+            let canonical = encode_design(&d);
+            let mut expected = Vec::new();
+            let mut rest = &canonical[1..];
+            while !rest.is_empty() {
+                let len = le_u32(&rest[..4]) as usize;
+                expected.extend(frame(&SEGMENT_MAGIC, SEGMENT_VERSION, &rest[4..4 + len]));
+                rest = &rest[4 + len..];
+            }
+            let mut end = vec![SEG_END];
+            end.extend_from_slice(&ContentKey::of(&canonical).0);
+            expected.extend(frame(&SEGMENT_MAGIC, SEGMENT_VERSION, &end));
+            assert_eq!(write(&d, None), expected);
+        }
     }
 
     #[test]

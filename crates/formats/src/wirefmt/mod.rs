@@ -14,7 +14,10 @@
 //!   next section header instead of giving up.
 //! * **binary** (`.slifb`) — a sequence of length-prefixed,
 //!   checksum-framed segments ([`binary`]) reusing the
-//!   [`slif_core::atomic_io`] frame layout. The reader verifies each
+//!   [`slif_core::atomic_io`] frame layout; its design segments are the
+//!   store's canonical segments ([`slif_store::canonical`]), framed one
+//!   by one, so the design layout has one encoder and one decoder. The
+//!   reader verifies each
 //!   frame's magic, version, declared length (against
 //!   [`FormatLimits::max_segment_bytes`], *before* any allocation) and
 //!   checksum; a damaged segment is a typed refusal in strict mode and
@@ -32,6 +35,7 @@ use std::fmt;
 
 use slif_core::{CoreError, Design, GraphLimits, Partition};
 use slif_speclang::Diagnostic;
+use slif_store::ContentKey;
 
 pub mod binary;
 pub mod text;
@@ -340,6 +344,10 @@ pub struct ReadOutcome {
     /// `verified: true`; a lenient read that salvaged around damage
     /// reports `false`.
     pub verified: bool,
+    /// The content key of the decoded design's canonical bytes (the
+    /// key the trailer was checked against), so a caller that files the
+    /// design by key need not encode and hash it again.
+    pub key: ContentKey,
     /// High-water mark of the pull parser's internal buffer, in bytes —
     /// the evidence that parsing stayed O(record), not O(file).
     pub peak_alloc_bytes: usize,

@@ -1154,7 +1154,8 @@ impl<'l> Fold<'l> {
         };
         design.graph().check_limits(&self.limits.graph)?;
 
-        let actual = ContentKey::of(&slif_store::encode_design(&design)).to_hex();
+        let key = ContentKey::of(&slif_store::encode_design(&design));
+        let actual = key.to_hex();
         let verified = match &self.declared_check {
             Some(declared) if *declared == actual => true,
             Some(declared) => {
@@ -1180,6 +1181,7 @@ impl<'l> Fold<'l> {
             partition: self.partition,
             diagnostics: self.diagnostics,
             verified,
+            key,
             peak_alloc_bytes,
         })
     }

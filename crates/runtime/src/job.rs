@@ -20,6 +20,7 @@ use slif_estimate::{DesignReport, EstimatorConfig};
 use slif_formats::wirefmt::{
     read_bytes, write_bytes, Encoding, FormatError, FormatLimits, Strictness,
 };
+use slif_formats::ContentKey;
 use slif_explore::{
     explore, Algorithm, ExploreError, Objectives, SupervisedResult, Supervisor,
 };
@@ -280,6 +281,7 @@ impl Job {
                     partition: outcome.partition,
                     warnings: outcome.diagnostics.len(),
                     verified: outcome.verified,
+                    key: outcome.key,
                 })
             }
             Job::Export {
@@ -343,6 +345,8 @@ pub enum JobOutput {
         warnings: usize,
         /// Whether the embedded content key matched the decoded design.
         verified: bool,
+        /// The decoded design's content key, as the reader computed it.
+        key: ContentKey,
     },
     /// A design encoded as interchange bytes.
     Exported {

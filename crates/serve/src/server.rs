@@ -682,10 +682,9 @@ fn post_design(inner: &Inner, request: &Request) -> Response {
     let grace = inner.request_deadline + Duration::from_secs(5);
     match handle.wait_timeout(grace) {
         Some(JobOutcome::Completed { output, .. }) => {
-            let JobOutput::Imported { design, .. } = &output else {
+            let JobOutput::Imported { design, key, .. } = &output else {
                 return Response::new(500, "Internal Server Error", "unexpected job output\n");
             };
-            let key = slif_store::ContentKey::of(&slif_store::encode_design(design));
             let mut body = format!("design {}\n{}", key.to_hex(), render_output(&output));
             let status = match &inner.durable {
                 Some(store) => {

@@ -348,6 +348,7 @@ pub fn render_output(output: &JobOutput) -> String {
             partition,
             warnings,
             verified,
+            ..
         } => format!(
             "imported: {encoding} design \"{}\" ({} nodes, {} channels{}), {warnings} warnings, {}\n",
             design.name(),

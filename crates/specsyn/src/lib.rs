@@ -12,7 +12,8 @@
 //! ```text
 //! specsyn list                       # the benchmark corpus
 //! specsyn build  <spec> [--dot]      # spec → SLIF (+ Graphviz)
-//! specsyn estimate <spec>            # size/pins/bitrate/performance
+//! specsyn build  <spec> --out f.slif # … saved as slif-wire text
+//! specsyn estimate <spec|f.slif>     # size/pins/bitrate/performance
 //! specsyn partition <spec> --algo sa # explore the partition space
 //! specsyn compare <spec>             # SLIF vs ADD vs CDFG sizes
 //! specsyn report                     # the paper's Figure 4 table
@@ -31,7 +32,7 @@ use slif_explore::{
     cluster_partition, greedy_improve, group_migration, inline_procedure, merge_processes,
     pareto_sweep, random_search, simulated_annealing, AnnealingConfig, Objectives,
 };
-use slif_formats::FormatComparison;
+use slif_formats::{read_bytes, write_bytes, Encoding, FormatComparison, FormatLimits, Strictness};
 use slif_frontend::{
     all_software_partition, allocate_proc_asic, build_design, build_design_at, Granularity, Profile,
 };
@@ -89,9 +90,10 @@ impl From<slif_core::CoreError> for CliError {
 pub const USAGE: &str = "usage: specsyn <command> [args]\n\
 commands:\n\
   list                         list the benchmark corpus\n\
-  build <spec> [--dot] [--annotated] [--profile FILE]\n\
-                               build SLIF and print a summary (or Graphviz)\n\
-  estimate <spec>              build, allocate cpu+asic+mem+bus, estimate\n\
+  build <spec> [--dot] [--annotated] [--profile FILE] [--out FILE.slif]\n\
+                               build SLIF and print a summary (or Graphviz);\n\
+                               --out also saves it as slif-wire text\n\
+  estimate <spec|FILE.slif>    build (or load), allocate cpu+asic+mem+bus, estimate\n\
   partition <spec> [--algo greedy|random|sa|kl|cluster] [--seed N] [--blocks]\n\
             [--dot]            explore the partition space (--dot: clustered graph)\n\
   compare <spec>               SLIF vs ADD vs CDFG format sizes\n\
@@ -102,14 +104,18 @@ commands:\n\
   report                       regenerate the paper's Figure 4 table\n\
 <spec> is a corpus name (ans, ether, fuzzy, vol) or a .sl file path";
 
-/// Loads a previously saved `.slif` design file.
+/// Loads a previously saved `.slif` (or `.slifb`) design file with the
+/// strict interchange reader, so only a design whose content key
+/// verifies is accepted.
 ///
 /// # Errors
 ///
 /// I/O errors for unreadable paths; usage errors for malformed files.
 pub fn load_slif(path: &str) -> Result<Design, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    slif_core::text::parse_design(&text).map_err(|e| CliError::Usage(e.to_string()))
+    let bytes = std::fs::read(path)?;
+    read_bytes(&bytes, Strictness::Strict, &FormatLimits::default())
+        .map(|outcome| outcome.design)
+        .map_err(|e| CliError::Usage(format!("{path}: {e}")))
 }
 
 /// Loads a spec by corpus name or file path.
@@ -204,7 +210,9 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         return Ok(design_to_dot(&design, style));
     }
     if let Some(path) = out_path {
-        std::fs::write(path, slif_core::text::write_design(&design))?;
+        let text = write_bytes(&design, None, Encoding::Text)
+            .map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
+        std::fs::write(path, text)?;
     }
     let mut out = String::new();
     let _ = writeln!(out, "built SLIF for `{}`:", design.name());
@@ -706,7 +714,14 @@ mod tests {
         let path = dir.join("fuzzy.slif");
         let path_str = path.to_str().unwrap().to_owned();
         run_args(&["build", "fuzzy", "--out", &path_str]).unwrap();
+        // The file is `slif-wire` text that verifies under the strict
+        // interchange reader.
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(bytes.starts_with(b"slif-wire 1\n"));
+        let outcome = read_bytes(&bytes, Strictness::Strict, &FormatLimits::default()).unwrap();
+        assert!(outcome.verified);
         let loaded = load_slif(&path_str).unwrap();
+        assert_eq!(loaded, outcome.design);
         assert_eq!(loaded.graph().node_count(), 35);
         // Estimating straight from the saved design works.
         let out = run_args(&["estimate", &path_str]).unwrap();

@@ -480,6 +480,32 @@ mod tests {
     }
 
     #[test]
+    fn older_canonical_version_is_a_quarantined_miss() {
+        // An object an older build filed: intact frame, payload hashing
+        // to its file name, but canonical version 1.
+        let (dir, cache) = temp_cache("old-canonical");
+        let (design, _) = DesignGenerator::new(12).build();
+        let mut old = encode_design(&design);
+        old[0] = 1;
+        let old_key = ContentKey::of(&old);
+        let object = dir.join("objects").join(old_key.to_hex());
+        let framed = atomic_io::frame(&OBJECT_MAGIC, CACHE_VERSION, &old);
+        fs::write(&object, framed).unwrap();
+        let reference = dir.join("refs").join(ContentKey::of(b"src").to_hex());
+        let framed = atomic_io::frame(&REF_MAGIC, CACHE_VERSION, &old_key.0);
+        fs::write(&reference, framed).unwrap();
+
+        assert!(cache.get(b"src").is_none());
+        assert!(!object.exists(), "old object not quarantined");
+        assert_eq!(cache.stats().quarantined, 1);
+        // Re-filing the design replaces the ref with the current key.
+        let key = cache.put(b"src", &design).unwrap();
+        assert_ne!(key, old_key);
+        assert_eq!(cache.get(b"src").unwrap(), design);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn compiled_warm_hit_matches_fresh_compile() {
         let (dir, cache) = temp_cache("compiled-hit");
         let (design, _) = DesignGenerator::new(14).build();

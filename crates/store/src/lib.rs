@@ -19,9 +19,11 @@
 //!   bytes against the key it was filed under, so a verified hit is
 //!   *bit-identical* to the design that was cached; any mismatch is a
 //!   miss plus a quarantine, never an error surfaced to a client.
-//! * [`canonical`] — the deterministic `Design` encoding itself:
-//!   interned-name table, fixed field order, exact round-trip
-//!   (`decode(encode(d)) == d`).
+//! * [`canonical`] — the one `Design` codec: a version byte, then the
+//!   length-prefixed payloads of the `.slifb` design segments, in a
+//!   fixed field order with exact round-trip (`decode(encode(d)) == d`).
+//!   Its [`SegmentDecoder`](canonical::SegmentDecoder) rebuilds designs
+//!   for the cache and for the `.slifb` reader alike.
 //!
 //! All file writes go through
 //! [`slif_core::atomic_io`](slif_core::atomic_io) (temp file → fsync →

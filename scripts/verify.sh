@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate (see ROADMAP.md).
 #
-# 1. Release build + full test suite — the seed contract.
+# 1. Release build + full test suite — the seed contract — over the
+#    whole workspace: a bare `cargo test` at the root runs only the
+#    facade package, so `--workspace` is what makes the crates' own
+#    unit tests (store codec, wirefmt, analyze memo, session walks)
+#    gate a change.
 # 2. Fault-injection suite, run explicitly: checkpoint corruption
 #    (truncation/bit-flips/header smashing), kill-and-resume exactness
 #    for all four partitioners, and the incremental-estimator self-audit
@@ -80,10 +84,13 @@
 #    committed record matches the code.
 # 13. Benchmark smoke: the slifbench package's own tests (generator
 #    determinism and counts, statistics, spans), then a 5-second
-#    edit_session run. Every op of that run checks its edits' tiers and
-#    that each document's session ends `==` a cold open (reports with
-#    flow findings and spans included); the step fails unless the run's
-#    result line reads `"correct": true`.
+#    edit_session run and a 30-second serve_store run. Every
+#    edit_session op checks its edits' tiers and that each document's
+#    session ends `==` a cold open (reports with flow findings and spans
+#    included); every serve_store op strict-reads both GET encodings of
+#    a stored design and checks the posted hash against
+#    `encode_design`. Each run fails the step unless its result line
+#    reads `"correct": true`.
 # 14. Lint gate: clippy with warnings denied (the workspace sweep covers
 #    crates/analyze like every other crate), plus `unwrap_used` on
 #    non-test code (without --all-targets, #[cfg(test)] code is not
@@ -100,7 +107,7 @@ cd "$(dirname "$0")/.."
 # can leave member binaries (notably the slif-serve the restart_smoke
 # step spawns from target/release/) stale.
 cargo build --release --workspace
-cargo test -q
+cargo test -q --workspace
 cargo test -q --test fault_injection
 cargo test -q --test runtime_soak
 cargo run --release --quiet --example resume_run
@@ -121,8 +128,15 @@ cargo run --release --quiet --example slif_conv
 cargo run --release --quiet -p slif-bench --bin pr9_wirefmt
 cargo run --release --quiet -p slif-bench --bin pr10_analyze
 cargo test --release --offline --manifest-path slifbench/Cargo.toml
-bench_out=$(cargo run --release --offline --quiet --manifest-path slifbench/Cargo.toml -- \
-    --workload edit_session --seed 1 --seconds 5 --trace 0)
-echo "$bench_out" | tail -n 1
-echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
+bench_smoke() {
+    local out
+    out=$(cargo run --release --offline --quiet --manifest-path slifbench/Cargo.toml -- \
+        --workload "$1" --seed 1 --seconds "$2" --trace 0)
+    echo "$out" | tail -n 1
+    echo "$out" | tail -n 1 | grep -q '"correct": true'
+}
+bench_smoke edit_session 5
+# serve_store re-binds its server and re-posts its read set 128 times per
+# run (~0.15 s each), so it needs ~30 s to leave room for whole cycles.
+bench_smoke serve_store 30
 cargo clippy --workspace -- -D warnings -W clippy::unwrap_used

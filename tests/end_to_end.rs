@@ -4,9 +4,10 @@
 //! allocate → partition (several algorithms) → estimate → serialize →
 //! reload → identical estimates.
 
-use slif::core::{text, PmRef};
+use slif::core::PmRef;
 use slif::estimate::{DesignReport, EstimatorConfig, ExecTimeEstimator};
 use slif::explore::{greedy_improve, simulated_annealing, AnnealingConfig, Objectives};
+use slif::formats::{read_bytes, write_bytes, Encoding, FormatLimits, Strictness};
 use slif::frontend::{all_software_partition, allocate_proc_asic, build_design};
 use slif::speclang::corpus;
 use slif::techlib::TechnologyLibrary;
@@ -78,10 +79,10 @@ fn serialized_designs_estimate_identically() {
         let arch = allocate_proc_asic(&mut design);
         let part = all_software_partition(&design, arch);
 
-        let design_text = text::write_design(&design);
-        let part_text = text::write_partition(&design, &part);
-        let design2 = text::parse_design(&design_text).unwrap();
-        let part2 = text::parse_partition(&design2, &part_text).unwrap();
+        let text = write_bytes(&design, Some(&part), Encoding::Text).unwrap();
+        let read = read_bytes(&text, Strictness::Strict, &FormatLimits::default()).unwrap();
+        assert!(read.verified, "{}: content key", entry.name);
+        let (design2, part2) = (read.design, read.partition.unwrap());
         assert_eq!(design, design2, "{}: design roundtrip", entry.name);
         assert_eq!(part, part2, "{}: partition roundtrip", entry.name);
 

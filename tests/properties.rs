@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use slif::core::gen::DesignGenerator;
-use slif::core::{text, AccessKind, AccessTarget, Design, FreqMode, NodeId, Partition, PmRef};
+use slif::core::{AccessKind, AccessTarget, Design, FreqMode, NodeId, Partition, PmRef};
 use slif::estimate::{
     io_pins, size, BitrateEstimator, EstimatorConfig, ExecTimeEstimator, IncrementalEstimator,
 };
+use slif::formats::{read_bytes, write_bytes, Encoding, FormatLimits, Strictness};
 
 /// A deliberately naive, non-memoized transcription of the paper's
 /// Equation 1, used as an oracle against the production estimator.
@@ -57,14 +58,16 @@ proptest! {
         prop_assert!(design.graph().find_recursion().is_none());
     }
 
-    /// The textual format round-trips any generated design exactly.
+    /// The `.slif` text format round-trips any generated design and
+    /// partition exactly.
     #[test]
     fn text_roundtrip(seed in 0u64..5000) {
         let (design, part) = DesignGenerator::new(seed).build();
-        let d2 = text::parse_design(&text::write_design(&design)).unwrap();
-        prop_assert_eq!(&design, &d2);
-        let p2 = text::parse_partition(&d2, &text::write_partition(&design, &part)).unwrap();
-        prop_assert_eq!(part, p2);
+        let text = write_bytes(&design, Some(&part), Encoding::Text).unwrap();
+        let read = read_bytes(&text, Strictness::Strict, &FormatLimits::default()).unwrap();
+        prop_assert!(read.verified);
+        prop_assert_eq!(&design, &read.design);
+        prop_assert_eq!(Some(part), read.partition);
     }
 
     /// min ≤ avg ≤ max execution times for every node.
