@@ -56,7 +56,7 @@ impl<'a> Sink<'a> {
         s
     }
 
-    pub(crate) fn into_parts(self) -> (Vec<Finding>, usize) {
+    pub(crate) fn finish(self) -> (Vec<Finding>, usize) {
         (self.findings, self.suppressed)
     }
 
@@ -225,7 +225,7 @@ fn analyze_inner(
     cycle::run(&ctx, &mut sink);
     bitwidth::run(&ctx, &mut sink);
     annotation::run(&ctx, &mut sink);
-    let (mut findings, mut suppressed) = sink.into_parts();
+    let (mut findings, mut suppressed) = sink.finish();
 
     if let Some(f) = flow {
         for (pass_findings, pass_suppressed) in flowdrive::run_flow_passes(f, config).passes {
@@ -237,7 +237,7 @@ fn analyze_inner(
     // A010 closes the pass sequence so memoized and unmemoized runs
     // order findings identically. It reads only the CSR (frequencies),
     // so it is reported with or without a flow program.
-    let (tail_findings, tail_suppressed) = tail.into_parts();
+    let (tail_findings, tail_suppressed) = tail.finish();
     findings.extend(tail_findings);
     suppressed += tail_suppressed;
 

@@ -290,7 +290,7 @@ pub fn analyze_compiled_memoized_with_flow(
         let (mut a001, mut a010) = (new_sink(), new_sink());
         race::run(&ctx, &mut a001, &mut a010);
         for (slot, sink) in [(0, a001), (PASSES - 1, a010)] {
-            let (findings, suppressed) = sink.into_parts();
+            let (findings, suppressed) = sink.finish();
             passes[slot] = PassCache {
                 findings,
                 suppressed,
@@ -308,7 +308,7 @@ pub fn analyze_compiled_memoized_with_flow(
         }
         let mut sink = new_sink();
         run(&ctx, &mut sink);
-        let (findings, suppressed) = sink.into_parts();
+        let (findings, suppressed) = sink.finish();
         passes[i] = PassCache {
             findings,
             suppressed,

@@ -16,8 +16,8 @@
 //!   [`analyze_compiled_memoized_with_flow`] pass (flow-only dirt and a
 //!   one-behavior dirty set, so only the edited behavior is lowered and
 //!   re-solved against the memo's flow state) must beat the cold full
-//!   analysis by ≥5x *and* return a report bit-identical to it. Both facts are asserted here and recorded in
-//!   the JSON, so the committed record always matches the code.
+//!   analysis by ≥5x *and* return a report bit-identical to it. Both
+//!   facts are asserted here and recorded in the JSON.
 //!
 //! Writes `BENCH_analyze.json` (or the path given as the first argument).
 

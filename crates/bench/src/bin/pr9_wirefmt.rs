@@ -1,29 +1,20 @@
-//! PR 9 bench smoke: interchange throughput and compiled-cache payoff,
-//! as JSON.
+//! PR 9 bench smoke: interchange throughput, as JSON.
 //!
-//! Two questions decide whether the wire format is usable at scale:
-//!
-//! - How fast do the `.slif` text and `.slifb` binary encodings move?
-//!   For generated designs at ~1k, ~10k, and ~100k nodes this measures
-//!   write and strict-parse throughput in MB/s for both encodings —
-//!   parse includes the full verification chain (frame checksums,
-//!   content rehash, trailer key match).
-//! - Does the content-addressed `CompiledDesign` cache actually skip
-//!   compilation? `warm_compiled_ns` reads the design AND its compiled
-//!   form back in one verified cache hit; `warm_design_ns` is the
-//!   design-only hit that still pays `compile_bounded`; `cold_ns` is
-//!   the straight compile. The warm-compiled hit must beat the paths
-//!   that recompile, or the cache is dead weight.
+//! How fast do the `.slif` text and `.slifb` binary encodings move? For
+//! generated designs at ~1k, ~10k, and ~100k nodes this measures write
+//! and strict-parse throughput in MB/s for both encodings — parse
+//! includes the full verification chain (frame checksums, content
+//! rehash, trailer key match).
 //!
 //! Writes `BENCH_wirefmt.json` (or the path given as the first
 //! argument). Like `pr3_bench` and `pr7_store` this emits
-//! machine-readable output so `scripts/verify.sh` keeps the committed
-//! record honest.
+//! machine-readable output; `scripts/verify.sh` runs it with a path
+//! under `target/bench/`, so only a deliberate run rewrites the
+//! committed record.
 
 use slif_core::gen::DesignGenerator;
-use slif_core::{CompiledDesign, Design, GraphLimits, Partition};
+use slif_core::{Design, Partition};
 use slif_formats::wirefmt::{read_bytes, write_bytes, Encoding, FormatLimits, Strictness};
-use slif_store::DesignCache;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -84,89 +75,10 @@ fn bench_parse(bytes: &[u8], limits: &FormatLimits) -> f64 {
     )
 }
 
-struct CacheNumbers {
-    cold_ns: f64,
-    warm_design_ns: f64,
-    warm_compiled_ns: f64,
-}
-
-/// The compiled-cache ladder on one large design, keyed the way
-/// `POST /designs` keys the store. Three ways a consumer holding the
-/// design's content hash gets a query-ready `CompiledDesign`:
-///
-/// - cold: strict wire parse of the interchange bytes + `compile_bounded`
-///   (no store at all),
-/// - PR 7 design-only cache: verified design object read
-///   (`get_by_key`: frame check, content re-hash, canonical decode),
-///   then `compile_bounded`,
-/// - PR 9 compiled cache: `get_compiled_by_key` — one frame-checked
-///   strict decode of the compiled slabs; no design decode, no content
-///   re-hash, no compile.
-fn bench_compiled_cache(dir: &std::path::Path, design: &Design, source: &[u8]) -> CacheNumbers {
-    let graph_limits = GraphLimits::default();
-    let fmt_limits = FormatLimits::default();
-    let cold_ns = median(
-        (0..ROUNDS)
-            .map(|_| {
-                let start = Instant::now();
-                let out = read_bytes(source, Strictness::Strict, &fmt_limits)
-                    .expect("bench bytes parse");
-                let cd = CompiledDesign::compile_bounded(&out.design, &graph_limits)
-                    .expect("bench design compiles");
-                let ns = start.elapsed().as_nanos() as f64;
-                black_box(cd);
-                ns
-            })
-            .collect(),
-    );
-
-    let cache = DesignCache::open(dir).expect("open cache");
-    let compiled =
-        CompiledDesign::compile_bounded(design, &graph_limits).expect("bench design compiles");
-    let key = cache
-        .put_with_compiled(source, design, &compiled)
-        .expect("cache put");
-    let warm_design_ns = median(
-        (0..ROUNDS)
-            .map(|_| {
-                let start = Instant::now();
-                let hit = cache.get_by_key(&key).expect("warm read must hit");
-                let cd = CompiledDesign::compile_bounded(&hit, &graph_limits)
-                    .expect("bench design compiles");
-                let ns = start.elapsed().as_nanos() as f64;
-                black_box(cd);
-                ns
-            })
-            .collect(),
-    );
-    let warm_compiled_ns = median(
-        (0..ROUNDS)
-            .map(|_| {
-                let start = Instant::now();
-                let cd = cache
-                    .get_compiled_by_key(&key)
-                    .expect("compiled read must hit, not fall back");
-                let ns = start.elapsed().as_nanos() as f64;
-                black_box(cd);
-                ns
-            })
-            .collect(),
-    );
-
-    CacheNumbers {
-        cold_ns,
-        warm_design_ns,
-        warm_compiled_ns,
-    }
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_wirefmt.json".to_string());
-    let scratch = std::env::temp_dir().join(format!("slif-pr9-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
     let limits = FormatLimits::default();
 
     let mut entries = String::new();
@@ -200,51 +112,11 @@ fn main() {
         entries.push_str("}}");
     }
 
-    // Compiled-cache ladder at the 100k-node size, where both the
-    // parse a miss pays and the compile pass are at their priciest.
-    let (design, partition) = sized_design(100_000);
-    let source = write_bytes(&design, Some(&partition), Encoding::Binary).expect("writes");
-    let cache = bench_compiled_cache(&scratch, &design, &source);
-    let vs_cold = cache.cold_ns / cache.warm_compiled_ns;
-    let vs_design_only = cache.warm_design_ns / cache.warm_compiled_ns;
-    println!(
-        "compiled cache @ {} nodes: cold parse+compile {:>11.0} ns, design-only cache \
-         +recompile {:>11.0} ns, compiled hit {:>11.0} ns ({vs_cold:.2}x vs cold, \
-         {vs_design_only:.2}x vs design-only cache)",
-        design.graph().node_count(),
-        cache.cold_ns,
-        cache.warm_design_ns,
-        cache.warm_compiled_ns,
-    );
-    assert!(
-        cache.warm_compiled_ns < cache.cold_ns,
-        "warm compiled hit ({:.0} ns) failed to beat the cold parse+compile miss path \
-         ({:.0} ns): the cache is not paying for itself",
-        cache.warm_compiled_ns,
-        cache.cold_ns
-    );
-    assert!(
-        cache.warm_compiled_ns < cache.warm_design_ns,
-        "warm compiled hit ({:.0} ns) failed to beat the PR 7 design-only cache plus \
-         recompile ({:.0} ns): the compiled entry is not skipping compilation",
-        cache.warm_compiled_ns,
-        cache.warm_design_ns
-    );
-
     let json = format!(
         "{{\n  \"bench\": \"pr9_wirefmt\",\n  \"workload\": \
-         \"interchange write/strict-parse throughput both encodings; compiled-cache ladder\",\n  \
-         \"rounds\": {ROUNDS},\n  \"sizes\": [{entries}\n  ],\n  \
-         \"compiled_cache\": {{\"nodes\": {}, \"cold_parse_compile_ns\": {:.0}, \
-         \"warm_design_recompile_ns\": {:.0}, \"warm_compiled_hit_ns\": {:.0}, \
-         \"speedup_vs_cold\": {vs_cold:.3}, \"speedup_vs_design_only_cache\": \
-         {vs_design_only:.3}}}\n}}\n",
-        design.graph().node_count(),
-        cache.cold_ns,
-        cache.warm_design_ns,
-        cache.warm_compiled_ns,
+         \"interchange write/strict-parse throughput both encodings\",\n  \
+         \"rounds\": {ROUNDS},\n  \"sizes\": [{entries}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write bench json");
-    let _ = std::fs::remove_dir_all(&scratch);
     println!("wrote {out_path}");
 }

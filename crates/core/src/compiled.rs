@@ -915,269 +915,6 @@ impl CompiledDesign {
         let transfers = u64::from(bits.div_ceil(self.bus_bitwidth[i])).max(1);
         transfers * if same { self.bus_ts[i] } else { self.bus_td[i] }
     }
-
-    /// Disassembles the compiled view into its raw slabs for external
-    /// serialization (the `slif-store` compiled-design cache).
-    ///
-    /// `to_parts` / [`try_from_parts`](Self::try_from_parts) exist so a
-    /// persistence layer can round-trip a `CompiledDesign` without this
-    /// crate committing to an on-disk layout: the parts struct is plain
-    /// public data, and reassembly re-audits every structural invariant,
-    /// so a codec bug (or disk corruption that slipped past checksums)
-    /// yields a typed error instead of a compiled view that answers
-    /// queries wrongly.
-    pub fn to_parts(&self) -> CompiledParts {
-        CompiledParts {
-            node_count: self.node_count,
-            port_count: self.port_count,
-            channel_count: self.channel_count,
-            class_count: self.class_count,
-            processor_count: self.processor_count,
-            memory_count: self.memory_count,
-            bus_count: self.bus_count,
-            out_offsets: self.out_offsets.clone(),
-            out_adj: self.out_adj.clone(),
-            in_offsets: self.in_offsets.clone(),
-            in_adj: self.in_adj.clone(),
-            port_offsets: self.port_offsets.clone(),
-            port_adj: self.port_adj.clone(),
-            chan_src: self.chan_src.clone(),
-            chan_dst: self.chan_dst.clone(),
-            chan_kind: self.chan_kind.clone(),
-            chan_bits: self.chan_bits.clone(),
-            chan_freq: self.chan_freq.clone(),
-            chan_tag: self.chan_tag.clone(),
-            node_kind: self.node_kind.clone(),
-            names: self.names.clone(),
-            name_order: self.name_order.clone(),
-            ict: self.ict.clone(),
-            size_val: self.size_val.clone(),
-            size_datapath: self.size_datapath.clone(),
-            class_kind: self.class_kind.clone(),
-            pm_class: self.pm_class.clone(),
-            proc_size_constraint: self.proc_size_constraint.clone(),
-            proc_pin_constraint: self.proc_pin_constraint.clone(),
-            mem_size_constraint: self.mem_size_constraint.clone(),
-            bus_bitwidth: self.bus_bitwidth.clone(),
-            bus_ts: self.bus_ts.clone(),
-            bus_td: self.bus_td.clone(),
-            bus_capacity: self.bus_capacity.clone(),
-            bottom_up: self.bottom_up.clone(),
-            process_nodes: self.process_nodes.clone(),
-        }
-    }
-
-    /// Reassembles a compiled view from [`CompiledParts`], re-auditing
-    /// every structural invariant the query methods rely on: slab
-    /// lengths against the declared counts, CSR offset monotonicity and
-    /// totals, and the range of every stored id. Parts that fail any
-    /// check are refused — the caller (typically a cache) falls back to
-    /// recompiling from the [`Design`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidInput`] naming the violated invariant.
-    pub fn try_from_parts(parts: CompiledParts) -> Result<Self, CoreError> {
-        fn bad(what: &str) -> CoreError {
-            CoreError::InvalidInput {
-                message: format!("compiled parts: {what}"),
-            }
-        }
-        fn check_csr(
-            offsets: &[u32],
-            adj_len: usize,
-            rows: usize,
-            what: &str,
-        ) -> Result<(), CoreError> {
-            if offsets.len() != rows + 1 {
-                return Err(bad(&format!("{what} offset length")));
-            }
-            if offsets.first() != Some(&0) {
-                return Err(bad(&format!("{what} offset origin")));
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(bad(&format!("{what} offsets not monotone")));
-            }
-            if offsets.last().copied() != Some(adj_len as u32) {
-                return Err(bad(&format!("{what} offset total")));
-            }
-            Ok(())
-        }
-        let p = parts;
-        check_csr(&p.out_offsets, p.out_adj.len(), p.node_count, "out")?;
-        check_csr(&p.in_offsets, p.in_adj.len(), p.node_count, "in")?;
-        check_csr(&p.port_offsets, p.port_adj.len(), p.port_count, "port")?;
-        if p.out_adj.len() != p.channel_count {
-            return Err(bad("out adjacency does not cover every channel"));
-        }
-        if p.in_adj.len() + p.port_adj.len() != p.channel_count {
-            return Err(bad("in/port adjacency does not cover every channel"));
-        }
-        for &c in p.out_adj.iter().chain(&p.in_adj).chain(&p.port_adj) {
-            if c.index() >= p.channel_count {
-                return Err(bad("adjacency channel id out of range"));
-            }
-        }
-        let chan_slabs_ok = p.chan_src.len() == p.channel_count
-            && p.chan_dst.len() == p.channel_count
-            && p.chan_kind.len() == p.channel_count
-            && p.chan_bits.len() == p.channel_count
-            && p.chan_freq.len() == p.channel_count
-            && p.chan_tag.len() == p.channel_count;
-        if !chan_slabs_ok {
-            return Err(bad("channel slab length"));
-        }
-        if p.chan_src.iter().any(|n| n.index() >= p.node_count) {
-            return Err(bad("channel source out of range"));
-        }
-        for dst in &p.chan_dst {
-            let in_range = match *dst {
-                AccessTarget::Node(n) => n.index() < p.node_count,
-                AccessTarget::Port(q) => q.index() < p.port_count,
-            };
-            if !in_range {
-                return Err(bad("channel destination out of range"));
-            }
-        }
-        if p.node_kind.len() != p.node_count {
-            return Err(bad("node kind slab length"));
-        }
-        if p.names.len() != p.node_count + p.port_count {
-            return Err(bad("name slab length"));
-        }
-        if p.name_order.len() != p.names.len() {
-            return Err(bad("name order length"));
-        }
-        let mut seen = vec![false; p.names.len()];
-        for &i in &p.name_order {
-            match seen.get_mut(i as usize) {
-                Some(s) if !*s => *s = true,
-                _ => return Err(bad("name order is not a permutation")),
-            }
-        }
-        let cells = p.node_count.saturating_mul(p.class_count);
-        if p.ict.len() != cells || p.size_val.len() != cells || p.size_datapath.len() != cells {
-            return Err(bad("weight table length"));
-        }
-        if p.class_kind.len() != p.class_count {
-            return Err(bad("class slab length"));
-        }
-        if p.pm_class.len() != p.processor_count + p.memory_count {
-            return Err(bad("component slab length"));
-        }
-        if p.pm_class.iter().any(|k| k.index() >= p.class_count) {
-            return Err(bad("component class out of range"));
-        }
-        if p.proc_size_constraint.len() != p.processor_count
-            || p.proc_pin_constraint.len() != p.processor_count
-            || p.mem_size_constraint.len() != p.memory_count
-        {
-            return Err(bad("constraint slab length"));
-        }
-        let bus_slabs_ok = p.bus_bitwidth.len() == p.bus_count
-            && p.bus_ts.len() == p.bus_count
-            && p.bus_td.len() == p.bus_count
-            && p.bus_capacity.len() == p.bus_count;
-        if !bus_slabs_ok {
-            return Err(bad("bus slab length"));
-        }
-        if let Ok(order) = &p.bottom_up {
-            if order.iter().any(|n| n.index() >= p.node_count) {
-                return Err(bad("bottom-up node out of range"));
-            }
-        }
-        if p.process_nodes.iter().any(|n| n.index() >= p.node_count) {
-            return Err(bad("process node out of range"));
-        }
-        Ok(Self {
-            node_count: p.node_count,
-            port_count: p.port_count,
-            channel_count: p.channel_count,
-            class_count: p.class_count,
-            processor_count: p.processor_count,
-            memory_count: p.memory_count,
-            bus_count: p.bus_count,
-            out_offsets: p.out_offsets,
-            out_adj: p.out_adj,
-            in_offsets: p.in_offsets,
-            in_adj: p.in_adj,
-            port_offsets: p.port_offsets,
-            port_adj: p.port_adj,
-            chan_src: p.chan_src,
-            chan_dst: p.chan_dst,
-            chan_kind: p.chan_kind,
-            chan_bits: p.chan_bits,
-            chan_freq: p.chan_freq,
-            chan_tag: p.chan_tag,
-            node_kind: p.node_kind,
-            names: p.names,
-            name_order: p.name_order,
-            ict: p.ict,
-            size_val: p.size_val,
-            size_datapath: p.size_datapath,
-            class_kind: p.class_kind,
-            pm_class: p.pm_class,
-            proc_size_constraint: p.proc_size_constraint,
-            proc_pin_constraint: p.proc_pin_constraint,
-            mem_size_constraint: p.mem_size_constraint,
-            bus_bitwidth: p.bus_bitwidth,
-            bus_ts: p.bus_ts,
-            bus_td: p.bus_td,
-            bus_capacity: p.bus_capacity,
-            bottom_up: p.bottom_up,
-            process_nodes: p.process_nodes,
-        })
-    }
-}
-
-/// The raw slabs of a [`CompiledDesign`], all public, for external
-/// serialization.
-///
-/// Produced by [`CompiledDesign::to_parts`] and consumed by
-/// [`CompiledDesign::try_from_parts`]; see those methods for the
-/// contract. Field meanings mirror the compiled view's internals: CSR
-/// `*_offsets`/`*_adj` adjacency, per-channel and per-component slabs,
-/// dense `[node * class_count + class]` weight tables, interned names
-/// with a sorted order index, and the precomputed traversals.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // field meanings documented on the struct; names mirror CompiledDesign
-pub struct CompiledParts {
-    pub node_count: usize,
-    pub port_count: usize,
-    pub channel_count: usize,
-    pub class_count: usize,
-    pub processor_count: usize,
-    pub memory_count: usize,
-    pub bus_count: usize,
-    pub out_offsets: Vec<u32>,
-    pub out_adj: Vec<ChannelId>,
-    pub in_offsets: Vec<u32>,
-    pub in_adj: Vec<ChannelId>,
-    pub port_offsets: Vec<u32>,
-    pub port_adj: Vec<ChannelId>,
-    pub chan_src: Vec<NodeId>,
-    pub chan_dst: Vec<AccessTarget>,
-    pub chan_kind: Vec<AccessKind>,
-    pub chan_bits: Vec<u32>,
-    pub chan_freq: Vec<AccessFreq>,
-    pub chan_tag: Vec<ConcurrencyTag>,
-    pub node_kind: Vec<NodeKind>,
-    pub names: Vec<String>,
-    pub name_order: Vec<u32>,
-    pub ict: Vec<Option<u64>>,
-    pub size_val: Vec<Option<u64>>,
-    pub size_datapath: Vec<Option<u64>>,
-    pub class_kind: Vec<ClassKind>,
-    pub pm_class: Vec<ClassId>,
-    pub proc_size_constraint: Vec<Option<u64>>,
-    pub proc_pin_constraint: Vec<Option<u32>>,
-    pub mem_size_constraint: Vec<Option<u64>>,
-    pub bus_bitwidth: Vec<u32>,
-    pub bus_ts: Vec<u64>,
-    pub bus_td: Vec<u64>,
-    pub bus_capacity: Vec<Option<f64>>,
-    pub bottom_up: Result<Vec<NodeId>, CoreError>,
-    pub process_nodes: Vec<NodeId>,
 }
 
 #[cfg(test)]
@@ -1386,44 +1123,5 @@ mod tests {
             cd.behaviors_bottom_up(),
             Err(CoreError::RecursiveAccess { .. })
         ));
-    }
-
-    #[test]
-    fn parts_round_trip_is_identity() {
-        for seed in [11u64, 12, 13] {
-            let (_, cd) = compiled(seed);
-            let rebuilt = CompiledDesign::try_from_parts(cd.to_parts()).expect("valid parts");
-            assert_eq!(rebuilt, cd, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn tampered_parts_are_refused() {
-        let (_, cd) = compiled(21);
-        let breakers: Vec<Box<dyn Fn(&mut CompiledParts)>> = vec![
-            Box::new(|p| p.out_offsets[0] = 1),
-            Box::new(|p| {
-                let last = p.out_offsets.len() - 1;
-                p.out_offsets[last] += 1;
-            }),
-            Box::new(|p| p.out_adj.push(ChannelId::from_raw(u32::MAX))),
-            Box::new(|p| p.chan_src.pop().map(|_| ()).unwrap_or(())),
-            Box::new(|p| p.chan_src[0] = NodeId::from_raw(u32::MAX)),
-            Box::new(|p| p.names.pop().map(|_| ()).unwrap_or(())),
-            Box::new(|p| p.name_order[0] = p.name_order[1]),
-            Box::new(|p| p.ict.pop().map(|_| ()).unwrap_or(())),
-            Box::new(|p| p.pm_class[0] = ClassId::from_raw(u32::MAX)),
-            Box::new(|p| p.bus_ts.pop().map(|_| ()).unwrap_or(())),
-            Box::new(|p| p.process_nodes.push(NodeId::from_raw(u32::MAX))),
-        ];
-        for (i, hit) in breakers.iter().enumerate() {
-            let mut parts = cd.to_parts();
-            hit(&mut parts);
-            let err = CompiledDesign::try_from_parts(parts);
-            assert!(
-                matches!(err, Err(CoreError::InvalidInput { .. })),
-                "breaker {i} accepted"
-            );
-        }
     }
 }

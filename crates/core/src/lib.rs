@@ -95,7 +95,7 @@ pub mod validate;
 
 pub use annotation::{AccessFreq, ConcurrencyTag, FreqMode, WeightEntry, WeightList};
 pub use channel::{AccessKind, Channel};
-pub use compiled::{AnnotationDelta, CompiledDesign, CompiledParts};
+pub use compiled::{AnnotationDelta, CompiledDesign};
 pub use component::{Bus, ClassKind, ComponentClass, Memory, Processor};
 pub use design::Design;
 pub use error::CoreError;

@@ -11,7 +11,7 @@
 //! — no drain, no flush, the hard way down. A second server process
 //! over the same store directory must serve `GET /jobs/{id}` with the
 //! byte-identical body, and a repeat of the same spec must hit the
-//! compiled-design cache. Exits nonzero on any violation.
+//! design cache. Exits nonzero on any violation.
 
 use slif_serve::http::read_response;
 use std::io::{BufRead, BufReader, Write};

@@ -14,7 +14,7 @@
 //! runs and its result fsynced before the acknowledgement, so
 //! `GET /jobs/{id}` (the id is in every `x-slif-job-id` response
 //! header) survives even a SIGKILL restart; repeat specs are served
-//! from a content-addressed compiled-design cache.
+//! from a content-addressed design cache.
 
 use slif_runtime::ServiceConfig;
 use slif_serve::server::{Server, ServerConfig};

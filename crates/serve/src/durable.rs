@@ -1,5 +1,5 @@
 //! The durability layer: a write-ahead job journal plus the
-//! content-addressed compiled-design cache, glued to the wire protocol.
+//! content-addressed design store, glued to the wire protocol.
 //!
 //! The contract, end to end:
 //!
@@ -275,7 +275,8 @@ impl DurableStore {
         crate::lock(&self.states).get(&id).cloned()
     }
 
-    /// The compiled-design cache.
+    /// The content-addressed design store: `/v1` source refs plus the
+    /// design objects they and `POST /designs` file.
     pub fn cache(&self) -> &DesignCache {
         &self.cache
     }

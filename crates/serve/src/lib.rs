@@ -29,9 +29,10 @@
 //!   status code.
 //! * [`durable`] — optional crash-safe persistence: a write-ahead job
 //!   journal (accept-before-run, persist-before-acknowledge, replay on
-//!   restart) and a content-addressed compiled-design cache, both built
-//!   on [`slif_store`]. Enables durable job ids (`x-slif-job-id`) and
-//!   `GET /jobs/{id}` result retrieval across restarts.
+//!   restart) and a content-addressed design store, both built on
+//!   [`slif_store`]. Enables durable job ids (`x-slif-job-id`),
+//!   `GET /jobs/{id}` result retrieval across restarts, the `/v1` source
+//!   cache, and `POST /designs` / `GET /designs/{hash}`.
 //! * [`session`] — long-lived incremental edit sessions
 //!   (`POST /sessions`, `POST /sessions/{id}/edit`,
 //!   `GET /sessions/{id}`): one [`slif_session::EditSession`] per id,

@@ -61,7 +61,8 @@ pub struct ServerConfig {
     pub max_explore_iterations: u64,
     /// Tenants; empty = open server (no keys required).
     pub tenants: Vec<TenantSpec>,
-    /// Durable-store directory (job journal + compiled-design cache).
+    /// Durable-store directory (job journal + content-addressed design
+    /// store).
     /// `None` (the default) serves statelessly, exactly as before.
     pub store_dir: Option<PathBuf>,
     /// Edit-session bounds: per-tenant cap and idle TTL.
@@ -146,8 +147,9 @@ impl ServerConfig {
     }
 
     /// Enables crash-safe persistence rooted at `dir`: jobs get durable
-    /// ids, results survive restarts (`GET /jobs/{id}`), and repeat
-    /// specs hit the compiled-design cache.
+    /// ids, results survive restarts (`GET /jobs/{id}`), repeat specs
+    /// hit the design cache, and `POST /designs` stores designs for
+    /// `GET /designs/{hash}`.
     #[must_use]
     pub fn with_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.store_dir = Some(dir.into());
@@ -652,9 +654,11 @@ fn run_job(inner: &Inner, endpoint: Endpoint, request: &Request) -> Response {
 /// budget and body cap (413 before a byte of an oversized body is
 /// read); the strict parse runs as a [`Job::Import`] on the job service,
 /// so format refusals are typed 422s and a parser bug cannot take down
-/// the connection worker. On a durable server the decoded design (with
-/// its compiled view) is filed in the content-addressed cache, and the
-/// response carries the content hash for `GET /designs/{hash}`.
+/// the connection worker. On a durable server the decoded design is
+/// filed as one content-addressed object under the key the strict read
+/// computed, and the response carries that hash for
+/// `GET /designs/{hash}`. No source ref is filed, so a POST never
+/// answers a later `/v1` request whose body happens to be the same bytes.
 fn post_design(inner: &Inner, request: &Request) -> Response {
     if inner.draining.load(Ordering::Relaxed) {
         return Response::new(410, "Gone", "server is draining; resubmit elsewhere\n").closing();
@@ -688,14 +692,9 @@ fn post_design(inner: &Inner, request: &Request) -> Response {
             let mut body = format!("design {}\n{}", key.to_hex(), render_output(&output));
             let status = match &inner.durable {
                 Some(store) => {
-                    // Cache design + compiled view so a warm GET (or a
-                    // later compile of the same design) skips work.
-                    // Cache writes are an optimization: failures are
-                    // swallowed, the import already succeeded.
-                    match slif_core::CompiledDesign::compile_bounded(design, &inner.limits.graph) {
-                        Ok(cd) => drop(store.cache().put_with_compiled(&request.body, design, &cd)),
-                        Err(_) => drop(store.cache().put(&request.body, design)),
-                    }
+                    // A failed write is swallowed: the import already
+                    // succeeded, and a later GET of the hash is a 404.
+                    drop(store.cache().put_object(key, design));
                     201
                 }
                 None => {
@@ -1533,6 +1532,76 @@ mod tests {
             assert_eq!(out.design, design);
         }
         server.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The `.slif` text of the design the `/v1` pipeline compiles from
+    /// `GOOD_SPEC`: allocated proc+ASIC, so a source-cache hit on these
+    /// bytes would pass for a compiled spec.
+    fn allocated_wire_text() -> Vec<u8> {
+        let spec = slif_speclang::parse(GOOD_SPEC).unwrap();
+        let rs = slif_speclang::resolve(spec).unwrap();
+        let mut design = slif_frontend::build_design(
+            &rs,
+            &slif_techlib::TechnologyLibrary::proc_asic(),
+        );
+        slif_frontend::try_allocate_proc_asic(&mut design).unwrap();
+        slif_formats::write_bytes(&design, None, slif_formats::Encoding::Text).unwrap()
+    }
+
+    #[test]
+    fn posting_a_design_does_not_answer_v1_requests_for_its_bytes() {
+        let dir = std::env::temp_dir().join(format!("slif-serve-designs-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = durable_server(&dir);
+        let addr = server.addr();
+        let bytes = allocated_wire_text();
+        let estimate = post_raw("/v1/estimate", &bytes, "");
+        let (cold, cold_body) = roundtrip(addr, &estimate);
+        assert_eq!(cold, 422, "{}", String::from_utf8_lossy(&cold_body));
+        let (status, body) = roundtrip(addr, &post_raw("/designs", &bytes, ""));
+        assert_eq!(status, 201, "{}", String::from_utf8_lossy(&body));
+        let (warm, warm_body) = roundtrip(addr, &estimate);
+        assert_eq!(
+            (warm, String::from_utf8_lossy(&warm_body)),
+            (cold, String::from_utf8_lossy(&cold_body)),
+            "a stored design answered a /v1 request"
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn posting_a_design_files_one_object_and_nothing_else() {
+        fn files_under(root: &std::path::Path, dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    files_under(root, &path, out);
+                } else {
+                    out.push(path.strip_prefix(root).unwrap().to_path_buf());
+                }
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("slif-serve-designs-one-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = durable_server(&dir);
+        let addr = server.addr();
+        let (_, bytes) = sample_wire_bytes(slif_formats::Encoding::Binary);
+        let (status, body) = roundtrip(addr, &post_raw("/designs", &bytes, ""));
+        let text = String::from_utf8_lossy(&body).into_owned();
+        assert_eq!(status, 201, "{text}");
+        let hash = text.lines().find_map(|l| l.strip_prefix("design ")).unwrap();
+        let (_, _, metrics) = get(addr, "/metrics");
+        let metrics = String::from_utf8_lossy(&metrics).into_owned();
+        assert!(metrics.contains("slif_store_cache_puts_total 1"), "{metrics}");
+        server.shutdown();
+
+        let cache = dir.join("cache");
+        let mut files = Vec::new();
+        files_under(&cache, &cache, &mut files);
+        assert_eq!(files, vec![PathBuf::from("objects").join(hash)]);
+        assert!(!cache.join("compiled").exists());
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -195,7 +195,8 @@ pub fn job_for(
     job_for_with_cache(endpoint, source, params, limits, max_iterations, None)
 }
 
-/// [`job_for`] with an optional compiled-design cache.
+/// [`job_for`] with an optional source cache: refs from spec source
+/// bytes to the compiled, allocated design.
 ///
 /// For the compiling endpoints (estimate/explore/analyze) a verified
 /// cache hit skips the parse→resolve→build→allocate pipeline entirely:
@@ -203,7 +204,10 @@ pub fn job_for(
 /// architecture, which is reconstructed by component-name lookup (the
 /// allocator is not idempotent, so it must not run again). Because the
 /// canonical codec round-trips designs exactly, a warm job is equal to
-/// the cold-compiled one and produces bit-identical output.
+/// the cold-compiled one and produces bit-identical output. Only this
+/// function files source refs (`POST /designs` stores bare objects), so
+/// every hit is a design this pipeline compiled from exactly these
+/// bytes.
 ///
 /// A miss falls back to the cold pipeline and populates the cache;
 /// cache write failures are swallowed — caching is an optimization, not

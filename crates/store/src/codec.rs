@@ -1,6 +1,6 @@
 //! Bounds-checked little-endian payload codec shared by the canonical
-//! design encoding, the compiled-design encoding, the journal record
-//! payloads, and (downstream) the `slif-formats` wire encodings.
+//! design encoding, the journal record payloads, and (downstream) the
+//! `slif-formats` wire encodings.
 //!
 //! The decoder never trusts a decoded count: callers loop-and-push
 //! rather than pre-allocating from untrusted lengths, and [`Dec::take`]

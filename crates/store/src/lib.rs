@@ -1,7 +1,7 @@
 //! Crash-safe SLIF persistence.
 //!
 //! Everything the serving stack accumulates — accepted jobs, their
-//! results, compiled designs — used to live only in process memory, so a
+//! results, stored designs — used to live only in process memory, so a
 //! crash lost all acknowledged work and forced every tenant back through
 //! cold parse/compile. This crate is the durable layer underneath:
 //!
@@ -12,13 +12,14 @@
 //!   that never reached a terminal state, and truncates at the first
 //!   torn or corrupt record — quarantining the damaged tail to a
 //!   `.corrupt` sidecar instead of panicking or serving garbage.
-//! * [`DesignCache`] — a content-addressed compiled-design cache keyed
-//!   by the SHA-256 of a [`canonical`] byte encoding of
-//!   [`Design`](slif_core::Design). Repeat traffic for a known spec
-//!   skips parse and build entirely. Every read re-hashes the stored
-//!   bytes against the key it was filed under, so a verified hit is
-//!   *bit-identical* to the design that was cached; any mismatch is a
-//!   miss plus a quarantine, never an error surfaced to a client.
+//! * [`DesignCache`] — a content-addressed design store: one object per
+//!   design, named by the SHA-256 of its [`canonical`] byte encoding of
+//!   [`Design`](slif_core::Design), plus source refs so repeat traffic
+//!   for a known spec skips parse and build entirely. Every read
+//!   re-hashes the stored bytes against the name they were filed
+//!   under, so a verified hit is *bit-identical* to the design that was
+//!   stored; any mismatch is a miss plus a quarantine, never an error
+//!   surfaced to a client.
 //! * [`canonical`] — the one `Design` codec: a version byte, then the
 //!   length-prefixed payloads of the `.slifb` design segments, in a
 //!   fixed field order with exact round-trip (`decode(encode(d)) == d`).
@@ -40,14 +41,12 @@
 pub mod cache;
 pub mod canonical;
 pub mod codec;
-pub mod compiled;
 mod error;
 pub mod journal;
 pub mod sha256;
 
 pub use cache::{CacheStats, DesignCache};
 pub use canonical::{decode_design, encode_design};
-pub use compiled::{decode_compiled, encode_compiled};
 pub use error::StoreError;
 pub use journal::{Journal, JobRecord, PendingJob, RecoveryReport};
 pub use sha256::ContentKey;
