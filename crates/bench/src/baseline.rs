@@ -1,13 +1,13 @@
-//! The pre-refactor estimation path, preserved as a measurable baseline.
+//! The pre-refactor estimation path, preserved as a reference oracle.
 //!
 //! Before the compiled-view refactor, the estimators walked the mutable
 //! [`Design`] directly: `WeightList` binary searches for every ict/size
 //! lookup, `Vec`-collecting graph walks for adjacency, and a full
 //! node-table scan inside the cost function. This module is a faithful
-//! copy of that path (default configuration, which is all the benches
-//! use), so the `pr3_bench` binary can measure what the compiled layer
-//! buys. It is **not** public API beyond
-//! the bench harness and is deliberately frozen — do not "optimize" it.
+//! copy of that path (default configuration), so
+//! `tests/compiled_parity.rs` can hold the compiled estimators to the
+//! same floats, bit for bit. It is **not** public API beyond the bench
+//! harness and is deliberately frozen — do not "optimize" it.
 
 use slif_core::{
     AccessKind, AccessTarget, ChannelId, CoreError, Design, NodeId, Partition, PmRef, ProcessorId,

@@ -88,6 +88,7 @@ mod partition;
 mod txn;
 
 pub mod atomic_io;
+pub mod codec;
 pub mod dot;
 pub mod faults;
 pub mod gen;

@@ -23,7 +23,8 @@
 //! any kind surfaces as a typed [`CheckpointError`], never a panic.
 
 use crate::algorithms::AnnealingConfig;
-use slif_core::atomic_io::{self, fnv1a, le_u32, le_u64, FrameError};
+use slif_core::atomic_io::{self, fnv1a, FrameError};
+use slif_core::codec::{Dec, DecodeError, Enc};
 use slif_core::{BusId, ChannelId, Design, MemoryId, NodeId, Partition, PmRef, ProcessorId};
 use std::fmt;
 use std::fs;
@@ -93,6 +94,17 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { context } => Self::Truncated { context },
+            DecodeError::TrailingBytes => Self::Corrupt {
+                context: "trailing bytes",
+            },
+        }
+    }
+}
 
 /// A cheap structural identity for a design, embedded in every
 /// checkpoint so a snapshot cannot be resumed against the wrong design.
@@ -275,8 +287,8 @@ impl ExplorationCheckpoint {
         e.u64(fp.name_hash);
         e.u64(self.evaluations);
         e.f64(self.best_cost);
-        e.partition(&self.best);
-        e.partition(&self.current);
+        write_partition(&mut e, &self.best);
+        write_partition(&mut e, &self.current);
         match &self.state {
             AlgorithmState::Random {
                 iterations,
@@ -286,7 +298,7 @@ impl ExplorationCheckpoint {
                 e.u8(0);
                 e.u64(*iterations);
                 e.u64(*iter);
-                e.rng(rng);
+                write_rng(&mut e, rng);
             }
             AlgorithmState::Greedy {
                 max_passes,
@@ -313,7 +325,7 @@ impl ExplorationCheckpoint {
                 e.f64(*temp);
                 e.u32(*move_idx);
                 e.f64(*current_cost);
-                e.rng(rng);
+                write_rng(&mut e, rng);
             }
             AlgorithmState::GroupMigration {
                 max_passes,
@@ -333,7 +345,7 @@ impl ExplorationCheckpoint {
                 e.u32(trail.len() as u32);
                 for &(n, home, c) in trail {
                     e.u32(n.index() as u32);
-                    e.pm_ref(home);
+                    write_pm_ref(&mut e, home);
                     e.f64(c);
                 }
             }
@@ -353,39 +365,39 @@ impl ExplorationCheckpoint {
         };
         fingerprint.matches(design)?;
         let evaluations = d.u64("evaluation count")?;
-        let best_cost = d.finite_f64("best cost")?;
-        let best = d.partition(design, "best partition")?;
-        let current = d.partition(design, "current partition")?;
+        let best_cost = finite_f64(&mut d, "best cost")?;
+        let best = partition(&mut d, design, "best partition")?;
+        let current = partition(&mut d, design, "current partition")?;
         let state = match d.u8("algorithm tag")? {
             0 => AlgorithmState::Random {
                 iterations: d.u64("iteration budget")?,
                 iter: d.u64("iteration counter")?,
-                rng: d.rng()?,
+                rng: rng(&mut d)?,
             },
             1 => AlgorithmState::Greedy {
                 max_passes: d.u32("pass budget")?,
                 pass: d.u32("pass counter")?,
-                current_cost: d.finite_f64("current cost")?,
+                current_cost: finite_f64(&mut d, "current cost")?,
             },
             2 => {
                 let config = AnnealingConfig {
-                    t0: d.finite_f64("annealing t0")?,
-                    alpha: d.finite_f64("annealing alpha")?,
+                    t0: finite_f64(&mut d, "annealing t0")?,
+                    alpha: finite_f64(&mut d, "annealing alpha")?,
                     moves_per_temp: d.u32("annealing moves per temp")?,
-                    t_min: d.finite_f64("annealing t_min")?,
+                    t_min: finite_f64(&mut d, "annealing t_min")?,
                 };
                 AlgorithmState::Annealing {
                     config,
-                    temp: d.finite_f64("annealing temperature")?,
+                    temp: finite_f64(&mut d, "annealing temperature")?,
                     move_idx: d.u32("annealing move index")?,
-                    current_cost: d.finite_f64("current cost")?,
-                    rng: d.rng()?,
+                    current_cost: finite_f64(&mut d, "current cost")?,
+                    rng: rng(&mut d)?,
                 }
             }
             3 => {
                 let max_passes = d.u32("pass budget")?;
                 let pass = d.u32("pass counter")?;
-                let pass_start_cost = d.finite_f64("pass start cost")?;
+                let pass_start_cost = finite_f64(&mut d, "pass start cost")?;
                 let locked_len = d.u32("locked set length")? as usize;
                 if locked_len != design.graph().node_count() {
                     return Err(CheckpointError::Corrupt {
@@ -412,9 +424,9 @@ impl ExplorationCheckpoint {
                 }
                 let mut trail = Vec::with_capacity(trail_len);
                 for _ in 0..trail_len {
-                    let n = d.node(design, "trail node")?;
-                    let home = d.pm_ref(design, "trail home")?;
-                    let c = d.finite_f64("trail cost")?;
+                    let n = node(&mut d, design, "trail node")?;
+                    let home = pm_ref(&mut d, design, "trail home")?;
+                    let c = finite_f64(&mut d, "trail cost")?;
                     trail.push((n, home, c));
                 }
                 AlgorithmState::GroupMigration {
@@ -443,202 +455,146 @@ impl ExplorationCheckpoint {
     }
 }
 
-/// Little-endian payload writer.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
+fn write_rng(e: &mut Enc, s: &[u64; 4]) {
+    for &w in s {
+        e.u64(w);
+    }
 }
 
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn rng(&mut self, s: &[u64; 4]) {
-        for &w in s {
-            self.u64(w);
+fn write_pm_ref(e: &mut Enc, pm: PmRef) {
+    match pm {
+        PmRef::Processor(p) => {
+            e.u8(1);
+            e.u32(p.index() as u32);
+        }
+        PmRef::Memory(m) => {
+            e.u8(2);
+            e.u32(m.index() as u32);
         }
     }
-    fn pm_ref(&mut self, pm: PmRef) {
-        match pm {
-            PmRef::Processor(p) => {
-                self.u8(1);
-                self.u32(p.index() as u32);
-            }
-            PmRef::Memory(m) => {
-                self.u8(2);
-                self.u32(m.index() as u32);
-            }
+}
+
+fn write_partition(e: &mut Enc, p: &Partition) {
+    e.u32(p.node_slots() as u32);
+    for i in 0..p.node_slots() {
+        match p.node_component(NodeId::from_raw(i as u32)) {
+            None => e.u8(0),
+            Some(pm) => write_pm_ref(e, pm),
         }
     }
-    fn partition(&mut self, p: &Partition) {
-        self.u32(p.node_slots() as u32);
-        for i in 0..p.node_slots() {
-            match p.node_component(NodeId::from_raw(i as u32)) {
-                None => self.u8(0),
-                Some(pm) => self.pm_ref(pm),
-            }
-        }
-        self.u32(p.channel_slots() as u32);
-        for i in 0..p.channel_slots() {
-            match p.channel_bus(ChannelId::from_raw(i as u32)) {
-                None => self.u8(0),
-                Some(b) => {
-                    self.u8(1);
-                    self.u32(b.index() as u32);
-                }
+    e.u32(p.channel_slots() as u32);
+    for i in 0..p.channel_slots() {
+        match p.channel_bus(ChannelId::from_raw(i as u32)) {
+            None => e.u8(0),
+            Some(b) => {
+                e.u8(1);
+                e.u32(b.index() as u32);
             }
         }
     }
 }
 
-/// Bounds-checked little-endian payload reader.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn finite_f64(d: &mut Dec<'_>, context: &'static str) -> Result<f64, CheckpointError> {
+    let v = d.f64(context)?;
+    if !v.is_finite() {
+        return Err(CheckpointError::Corrupt { context });
+    }
+    Ok(v)
 }
 
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
+fn rng(d: &mut Dec<'_>) -> Result<[u64; 4], CheckpointError> {
+    Ok([
+        d.u64("rng state")?,
+        d.u64("rng state")?,
+        d.u64("rng state")?,
+        d.u64("rng state")?,
+    ])
+}
 
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(CheckpointError::Truncated { context })?;
-        if end > self.buf.len() {
-            return Err(CheckpointError::Truncated { context });
+fn node(
+    d: &mut Dec<'_>,
+    design: &Design,
+    context: &'static str,
+) -> Result<NodeId, CheckpointError> {
+    let i = d.u32(context)?;
+    if (i as usize) >= design.graph().node_count() {
+        return Err(CheckpointError::Corrupt { context });
+    }
+    Ok(NodeId::from_raw(i))
+}
+
+fn pm_ref(
+    d: &mut Dec<'_>,
+    design: &Design,
+    context: &'static str,
+) -> Result<PmRef, CheckpointError> {
+    match d.u8(context)? {
+        1 => {
+            let i = d.u32(context)?;
+            if (i as usize) >= design.processor_count() {
+                return Err(CheckpointError::Corrupt { context });
+            }
+            Ok(PmRef::Processor(ProcessorId::from_raw(i)))
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, CheckpointError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, CheckpointError> {
-        Ok(le_u32(self.take(4, context)?))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, CheckpointError> {
-        Ok(le_u64(self.take(8, context)?))
-    }
-
-    fn finite_f64(&mut self, context: &'static str) -> Result<f64, CheckpointError> {
-        let v = f64::from_bits(self.u64(context)?);
-        if !v.is_finite() {
-            return Err(CheckpointError::Corrupt { context });
+        2 => {
+            let i = d.u32(context)?;
+            if (i as usize) >= design.memory_count() {
+                return Err(CheckpointError::Corrupt { context });
+            }
+            Ok(PmRef::Memory(MemoryId::from_raw(i)))
         }
-        Ok(v)
+        _ => Err(CheckpointError::Corrupt { context }),
     }
+}
 
-    fn rng(&mut self) -> Result<[u64; 4], CheckpointError> {
-        Ok([
-            self.u64("rng state")?,
-            self.u64("rng state")?,
-            self.u64("rng state")?,
-            self.u64("rng state")?,
-        ])
+fn partition(
+    d: &mut Dec<'_>,
+    design: &Design,
+    context: &'static str,
+) -> Result<Partition, CheckpointError> {
+    let nodes = d.u32(context)? as usize;
+    if nodes != design.graph().node_count() {
+        return Err(CheckpointError::Corrupt { context });
     }
-
-    fn node(&mut self, design: &Design, context: &'static str) -> Result<NodeId, CheckpointError> {
-        let i = self.u32(context)?;
-        if (i as usize) >= design.graph().node_count() {
-            return Err(CheckpointError::Corrupt { context });
-        }
-        Ok(NodeId::from_raw(i))
-    }
-
-    fn pm_ref(&mut self, design: &Design, context: &'static str) -> Result<PmRef, CheckpointError> {
-        match self.u8(context)? {
+    let mut p = Partition::new(design);
+    for i in 0..nodes {
+        match d.u8(context)? {
+            0 => {}
             1 => {
-                let i = self.u32(context)?;
-                if (i as usize) >= design.processor_count() {
+                let c = d.u32(context)?;
+                if (c as usize) >= design.processor_count() {
                     return Err(CheckpointError::Corrupt { context });
                 }
-                Ok(PmRef::Processor(ProcessorId::from_raw(i)))
+                p.assign_node(NodeId::from_raw(i as u32), ProcessorId::from_raw(c).into());
             }
             2 => {
-                let i = self.u32(context)?;
-                if (i as usize) >= design.memory_count() {
+                let c = d.u32(context)?;
+                if (c as usize) >= design.memory_count() {
                     return Err(CheckpointError::Corrupt { context });
                 }
-                Ok(PmRef::Memory(MemoryId::from_raw(i)))
+                p.assign_node(NodeId::from_raw(i as u32), MemoryId::from_raw(c).into());
             }
-            _ => Err(CheckpointError::Corrupt { context }),
+            _ => return Err(CheckpointError::Corrupt { context }),
         }
     }
-
-    fn partition(
-        &mut self,
-        design: &Design,
-        context: &'static str,
-    ) -> Result<Partition, CheckpointError> {
-        let nodes = self.u32(context)? as usize;
-        if nodes != design.graph().node_count() {
-            return Err(CheckpointError::Corrupt { context });
-        }
-        let mut p = Partition::new(design);
-        for i in 0..nodes {
-            match self.u8(context)? {
-                0 => {}
-                1 => {
-                    let c = self.u32(context)?;
-                    if (c as usize) >= design.processor_count() {
-                        return Err(CheckpointError::Corrupt { context });
-                    }
-                    p.assign_node(NodeId::from_raw(i as u32), ProcessorId::from_raw(c).into());
-                }
-                2 => {
-                    let c = self.u32(context)?;
-                    if (c as usize) >= design.memory_count() {
-                        return Err(CheckpointError::Corrupt { context });
-                    }
-                    p.assign_node(NodeId::from_raw(i as u32), MemoryId::from_raw(c).into());
-                }
-                _ => return Err(CheckpointError::Corrupt { context }),
-            }
-        }
-        let channels = self.u32(context)? as usize;
-        if channels != design.graph().channel_count() {
-            return Err(CheckpointError::Corrupt { context });
-        }
-        for i in 0..channels {
-            match self.u8(context)? {
-                0 => {}
-                1 => {
-                    let b = self.u32(context)?;
-                    if (b as usize) >= design.bus_count() {
-                        return Err(CheckpointError::Corrupt { context });
-                    }
-                    p.assign_channel(ChannelId::from_raw(i as u32), BusId::from_raw(b));
-                }
-                _ => return Err(CheckpointError::Corrupt { context }),
-            }
-        }
-        Ok(p)
+    let channels = d.u32(context)? as usize;
+    if channels != design.graph().channel_count() {
+        return Err(CheckpointError::Corrupt { context });
     }
-
-    fn finish(self) -> Result<(), CheckpointError> {
-        if self.pos != self.buf.len() {
-            return Err(CheckpointError::Corrupt {
-                context: "trailing bytes",
-            });
+    for i in 0..channels {
+        match d.u8(context)? {
+            0 => {}
+            1 => {
+                let b = d.u32(context)?;
+                if (b as usize) >= design.bus_count() {
+                    return Err(CheckpointError::Corrupt { context });
+                }
+                p.assign_channel(ChannelId::from_raw(i as u32), BusId::from_raw(b));
+            }
+            _ => return Err(CheckpointError::Corrupt { context }),
         }
-        Ok(())
     }
+    Ok(p)
 }
 
 #[cfg(test)]

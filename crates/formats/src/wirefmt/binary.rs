@@ -6,7 +6,7 @@
 //! FNV-1a checksum, payload) — the exact framing the store already
 //! trusts on disk, so the whole stack shares one checksum discipline.
 //! The first payload byte is the segment kind; the rest is a
-//! little-endian body in the store's [`slif_store::codec`] encoding:
+//! little-endian body in the shared [`slif_core::codec`] encoding:
 //!
 //! | kind | segment | body |
 //! |-----:|---------|------|
@@ -35,13 +35,13 @@
 use std::io::{Read, Write};
 
 use slif_core::atomic_io::{frame, le_u32, le_u64, unframe, FrameError, FRAME_HEADER_LEN};
+use slif_core::codec::{Dec, Enc};
 use slif_core::{BusId, ChannelId, Design, MemoryId, NodeId, Partition, PmRef, ProcessorId};
 use slif_speclang::{codes, Diagnostic, Span};
 use slif_store::canonical::{segment_payloads, SegmentDecoder, SegmentError};
 pub use slif_store::canonical::{
     SEG_CHANNELS, SEG_CLASSES, SEG_COMPONENTS, SEG_HEADER, SEG_NODES, SEG_PORTS,
 };
-use slif_store::codec::{Dec, Enc};
 use slif_store::{encode_design, ContentKey};
 
 use super::{

@@ -59,7 +59,7 @@ impl LatencyHistogram {
     }
 
     /// The 99th-percentile latency upper bound in µs — the tail the wire
-    /// `/metrics` endpoint exports and `BENCH_serve.json` records.
+    /// `/metrics` endpoint exports.
     pub fn p99_micros(&self) -> Option<u64> {
         self.quantile_upper_bound_micros(0.99)
     }

@@ -18,7 +18,7 @@ use slif_analyze::{
 use slif_core::{CompiledDesign, CoreError, Design, GraphLimits, Partition};
 use slif_estimate::{DesignReport, EstimatorConfig};
 use slif_formats::wirefmt::{
-    read_bytes, write_bytes, Encoding, FormatError, FormatLimits, Strictness,
+    read_bytes, Encoding, FormatError, FormatLimits, Strictness,
 };
 use slif_formats::ContentKey;
 use slif_explore::{
@@ -131,16 +131,6 @@ pub enum Job {
         /// The raw interchange bytes, either encoding.
         bytes: Vec<u8>,
     },
-    /// Write a design (and optional partition) as `.slif` text or
-    /// `.slifb` binary interchange bytes.
-    Export {
-        /// The design to encode.
-        design: Design,
-        /// An optional partition to carry alongside it.
-        partition: Option<Partition>,
-        /// Which wire encoding to emit.
-        encoding: Encoding,
-    },
     /// Panics on execution. The fault-injection hook for exercising the
     /// service's panic isolation: a well-behaved service converts it into
     /// a retried-then-failed outcome, never a process abort.
@@ -161,7 +151,6 @@ impl Job {
             Job::Analyze { .. } => "analyze",
             Job::EditSession { .. } => "edit-session",
             Job::Import { .. } => "import",
-            Job::Export { .. } => "export",
             Job::InjectedPanic { .. } => "injected-panic",
         }
     }
@@ -284,18 +273,6 @@ impl Job {
                     key: outcome.key,
                 })
             }
-            Job::Export {
-                design,
-                partition,
-                encoding,
-            } => {
-                design.graph().check_limits(&limits.graph)?;
-                let bytes = write_bytes(design, partition.as_ref(), *encoding)?;
-                Ok(JobOutput::Exported {
-                    encoding: *encoding,
-                    bytes,
-                })
-            }
             Job::InjectedPanic { message } => panic!("{message}"),
         }
     }
@@ -347,13 +324,6 @@ pub enum JobOutput {
         verified: bool,
         /// The decoded design's content key, as the reader computed it.
         key: ContentKey,
-    },
-    /// A design encoded as interchange bytes.
-    Exported {
-        /// Which encoding was emitted.
-        encoding: Encoding,
-        /// The encoded bytes.
-        bytes: Vec<u8>,
     },
     /// An opened edit session: the shared handle plus the opening
     /// update (revision 0 state, diagnostics if the source was broken).
@@ -630,19 +600,7 @@ mod tests {
             .unwrap();
 
         for encoding in [Encoding::Text, Encoding::Binary] {
-            let job = Job::Export {
-                design: d.clone(),
-                partition: None,
-                encoding,
-            };
-            assert_eq!(job.kind(), "export");
-            let bytes = match job.run_inline(&RunLimits::default()).unwrap() {
-                JobOutput::Exported { encoding: e, bytes } => {
-                    assert_eq!(e, encoding);
-                    bytes
-                }
-                other => panic!("unexpected output {other:?}"),
-            };
+            let bytes = slif_formats::write_bytes(&d, None, encoding).unwrap();
             let job = Job::Import { bytes };
             assert_eq!(job.kind(), "import");
             match job.run_inline(&RunLimits::default()).unwrap() {
@@ -680,17 +638,7 @@ mod tests {
         let mut d = Design::new("big");
         d.graph_mut().add_node("Main", NodeKind::process());
         d.graph_mut().add_node("v", NodeKind::scalar(8));
-        let bytes = match (Job::Export {
-            design: d,
-            partition: None,
-            encoding: Encoding::Text,
-        })
-        .run_inline(&RunLimits::default())
-        .unwrap()
-        {
-            JobOutput::Exported { bytes, .. } => bytes,
-            other => panic!("unexpected output {other:?}"),
-        };
+        let bytes = slif_formats::write_bytes(&d, None, Encoding::Text).unwrap();
         let limits = RunLimits {
             graph: GraphLimits::default().with_max_nodes(1),
             ..RunLimits::default()

@@ -467,8 +467,7 @@ fn admission_size_check(job: &Job, limits: &RunLimits) -> Option<Rejected> {
         Job::CompileDesign { design }
         | Job::Estimate { design, .. }
         | Job::Explore { design, .. }
-        | Job::Analyze { design, .. }
-        | Job::Export { design, .. } => {
+        | Job::Analyze { design, .. } => {
             let graph = design.graph();
             if graph.node_count() > limits.graph.max_nodes {
                 Some(Rejected::TooLarge {

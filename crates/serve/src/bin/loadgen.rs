@@ -1,9 +1,10 @@
 //! The `loadgen` binary: hammer a `slif-serve` instance with a mixed,
-//! fault-injected request stream and write `BENCH_serve.json`.
+//! fault-injected request stream and check every response against the
+//! inline run.
 //!
 //! ```text
 //! loadgen --self-serve [--requests N] [--clients N] [--fault-rate F]
-//!         [--seed N] [--out PATH]
+//!         [--seed N]
 //! loadgen --addr HOST:PORT [...]
 //! ```
 //!
@@ -27,7 +28,6 @@ struct Args {
     clients: usize,
     fault_rate: f64,
     seed: u64,
-    out: Option<String>,
 }
 
 fn parse_args(raw: &[String]) -> Result<Args, String> {
@@ -38,7 +38,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         clients: 8,
         fault_rate: 0.35,
         seed: 42,
-        out: None,
     };
     let mut it = raw.iter();
     while let Some(arg) = it.next() {
@@ -68,7 +67,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad --seed value".to_owned())?;
             }
-            "--out" => args.out = Some(value("--out")?.clone()),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -188,18 +186,6 @@ fn main() {
         }
         eprintln!("loadgen: server health: {health}");
         server.shutdown();
-    }
-
-    let json = report.to_json();
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("loadgen: cannot write {path}: {e}");
-            failed = true;
-        } else {
-            eprintln!("loadgen: wrote {path}");
-        }
-    } else {
-        println!("{json}");
     }
     std::process::exit(i32::from(failed));
 }

@@ -40,8 +40,7 @@
 //! * [`server`] — the accept/dispatch loop, `/health` and `/metrics`,
 //!   and graceful drain (in-flight jobs finish; new work gets 410).
 //! * [`loadgen`] — a deterministic, fault-injecting load generator that
-//!   doubles as the wire-level soak harness and writes
-//!   `BENCH_serve.json`.
+//!   doubles as the wire-level soak harness.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

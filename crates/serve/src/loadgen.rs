@@ -4,17 +4,17 @@
 //! parse/estimate/explore/analyze requests interleaved with **injected
 //! client faults** — slow writers, truncated bodies, bad API keys,
 //! oversized declarations, and tenant floods against a quota-capped
-//! key. The same binary is the benchmark (`BENCH_serve.json`) and the
-//! wire-level soak harness: for every clean request it precomputes the
-//! expected response with the *same* pure functions the server uses
-//! ([`wire::job_for`](crate::wire::job_for) + `Job::run_inline` +
-//! [`wire::render_output`](crate::wire::render_output)) and asserts the
-//! body that came over the socket is **byte-identical**.
+//! key. It is the wire-level soak harness behind both the `loadgen`
+//! binary's smoke run and `tests/wire_soak.rs`: for every clean request
+//! it precomputes the expected response with the *same* pure functions
+//! the server uses ([`wire::job_for`](crate::wire::job_for) +
+//! `Job::run_inline` + [`wire::render_output`](crate::wire::render_output))
+//! and asserts the body that came over the socket is **byte-identical**.
 //!
 //! A run records, per job kind, a latency histogram (p50/p90/p99) and
 //! overall throughput; every response that is neither the expected one
 //! nor an acceptable shed (429/503/504) is a recorded **violation** —
-//! the soak test requires zero.
+//! the soak test and the smoke run require zero.
 
 use crate::http::{read_response, ClientResponse, RecvError};
 use crate::wire::{
@@ -174,50 +174,6 @@ impl LoadReport {
     /// Count of responses with `status`.
     pub fn status(&self, status: u16) -> u64 {
         self.statuses.get(&status).copied().unwrap_or(0)
-    }
-
-    /// Renders the report as the `BENCH_serve.json` document.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n  \"schema\": \"slif-serve-bench-v1\",\n");
-        let _ = writeln!(out, "  \"requests\": {},", self.total);
-        let _ = writeln!(out, "  \"wall_ms\": {},", self.wall.as_millis());
-        let _ = writeln!(
-            out,
-            "  \"throughput_rps\": {:.1},",
-            self.throughput_rps()
-        );
-        let _ = writeln!(out, "  \"client_aborts\": {},", self.client_aborts);
-        let _ = writeln!(out, "  \"violations\": {},", self.violations.len());
-        out.push_str("  \"statuses\": {");
-        let mut first = true;
-        for (status, count) in &self.statuses {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(out, "\"{status}\": {count}");
-        }
-        out.push_str("},\n  \"kinds\": {\n");
-        let mut first = true;
-        for (kind, stats) in &self.kinds {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "    \"{kind}\": {{\"count\": {}, \"ok\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}}}",
-                stats.count,
-                stats.ok,
-                stats.latency.p50_micros().unwrap_or(0),
-                stats.latency.p90_micros().unwrap_or(0),
-                stats.latency.p99_micros().unwrap_or(0)
-            );
-        }
-        out.push_str("\n  }\n}\n");
-        out
     }
 }
 
@@ -696,24 +652,5 @@ mod tests {
             "fault share too low: {faults}/{}",
             plan_a.len()
         );
-    }
-
-    #[test]
-    fn reports_render_valid_json_shape() {
-        let mut report = LoadReport::default();
-        report.total = 10;
-        report.wall = Duration::from_millis(100);
-        report.statuses.insert(200, 9);
-        report.statuses.insert(429, 1);
-        let mut ks = KindStats::default();
-        ks.count = 9;
-        ks.ok = 9;
-        ks.latency.record(Duration::from_micros(100));
-        report.kinds.insert("parse-spec".to_owned(), ks);
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"slif-serve-bench-v1\""), "{json}");
-        assert!(json.contains("\"200\": 9"), "{json}");
-        assert!(json.contains("\"p99_us\""), "{json}");
-        assert!(json.contains("\"throughput_rps\": 100.0"), "{json}");
     }
 }

@@ -365,9 +365,6 @@ pub fn render_output(output: &JobOutput) -> String {
             },
             if *verified { "verified" } else { "unverified" },
         ),
-        JobOutput::Exported { encoding, bytes } => {
-            format!("exported: {} bytes of {encoding}\n", bytes.len())
-        }
         _ => "ok (unrenderable output kind)\n".to_owned(),
     }
 }

@@ -37,8 +37,8 @@
 
 use std::fmt;
 
-use crate::codec::{Dec, Enc};
 use crate::error::StoreError;
+use slif_core::codec::{Dec, DecodeError, Enc};
 use slif_core::{
     AccessFreq, AccessKind, AccessTarget, Bus, ChannelId, ClassId, ClassKind, ConcurrencyTag,
     CoreError, Design, GraphLimits, Memory, NodeId, NodeKind, PortDirection, PortId, Processor,
@@ -286,12 +286,9 @@ impl fmt::Display for SegmentError {
 
 impl std::error::Error for SegmentError {}
 
-impl From<StoreError> for SegmentError {
-    fn from(e: StoreError) -> Self {
-        SegmentError::Malformed(match e {
-            StoreError::Corrupt { context } => format!("segment body: {context}"),
-            other => other.to_string(),
-        })
+impl From<DecodeError> for SegmentError {
+    fn from(e: DecodeError) -> Self {
+        SegmentError::Malformed(format!("segment body: {}", e.context()))
     }
 }
 

@@ -1,5 +1,6 @@
 //! The typed failure surface of the durable store.
 
+use slif_core::codec::DecodeError;
 use std::fmt;
 
 /// Why a store operation could not complete.
@@ -45,6 +46,14 @@ impl fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
+        Self::Corrupt {
+            context: e.context(),
+        }
+    }
+}
 
 impl StoreError {
     /// Builds an [`Io`](Self::Io) from a path and an `io::Error`.

@@ -33,9 +33,9 @@
 //! No input byte sequence panics, and no corrupt record is ever
 //! replayed.
 
-use crate::codec::{Dec, Enc};
 use crate::error::StoreError;
 use slif_core::atomic_io::{self, fnv1a, le_u32, le_u64};
+use slif_core::codec::{Dec, Enc};
 use std::collections::HashSet;
 use std::fs;
 use std::io::Write as _;

@@ -40,7 +40,6 @@
 
 pub mod cache;
 pub mod canonical;
-pub mod codec;
 mod error;
 pub mod journal;
 pub mod sha256;

@@ -5,7 +5,12 @@
 #    whole workspace: a bare `cargo test` at the root runs only the
 #    facade package, so `--workspace` is what makes the crates' own
 #    unit tests (store codec, wirefmt, analyze memo, session walks)
-#    gate a change.
+#    gate a change. It includes tests/speedup_floors.rs: a warm
+#    Patched edit must beat a cold session open by ≥10x at ~1200
+#    nodes, and a memoized one-behavior re-analysis of `ether` must
+#    beat a cold flow analysis by ≥5x while lowering and solving
+#    exactly the edited behavior and returning the cold report. Cold
+#    and warm rounds alternate, so a host slowdown lands on both sides.
 # 2. Fault-injection suite, run explicitly: checkpoint corruption
 #    (truncation/bit-flips/header smashing), kill-and-resume exactness
 #    for all four partitioners, and the incremental-estimator self-audit
@@ -31,24 +36,15 @@
 #    The analyzer's own property suites (determinism, per-lint firing
 #    fixtures, fixpoint determinism, incremental bit-identity) run with
 #    it.
-#    Every bench binary below writes its JSON under target/bench/, never
-#    over a committed BENCH_*.json: the committed records change only
-#    when someone regenerates them on purpose (run the binary from the
-#    repo root with no path argument; loadgen with
-#    `--out BENCH_serve.json`), so a verify run leaves `git status`
-#    clean. Each binary keeps its own assertions.
-# 6. Bench smoke: the pr3_bench binary re-measures baseline vs
-#    compiled candidate evaluation (target/bench/BENCH_pr3.json).
-# 7. Wire smoke: loadgen binds a slif-serve instance in-process on an
+# 6. Wire smoke: loadgen binds a slif-serve instance in-process on an
 #    ephemeral port (--self-serve, so no port coordination) and drives
 #    500 mixed requests with >30% injected client faults — slow
 #    writers, truncated bodies, bad API keys, oversized declarations,
 #    tenant floods. It exits nonzero on any contract violation (wrong
 #    status, clean body not byte-identical to the inline run, a caught
-#    worker panic) and writes its throughput/p99 record to
-#    target/bench/BENCH_serve.json. The full 10k-request soak runs as
+#    worker panic). The full 10k-request soak runs as
 #    tests/wire_soak.rs in step 1.
-# 8. Durability soak: tests/store_soak.rs drives 24 restart cycles of a
+# 7. Durability soak: tests/store_soak.rs drives 24 restart cycles of a
 #    durable slif-serve over one store directory, corrupting the journal
 #    and the design cache between cycles (>30% of cycles, all four
 #    StoreFaultKind classes) — every acknowledged job must keep
@@ -57,34 +53,18 @@
 #    restart_smoke binary then proves the same contract cross-process:
 #    it SIGKILLs a real slif-serve child mid-flight and requires the
 #    journalled result and a warm cache hit from its successor.
-# 9. Store bench smoke: pr7_store re-measures the durability ledger —
-#    cold spec-compile vs verified warm cache read, and the fsynced
-#    journal append pair every durable job pays
-#    (target/bench/BENCH_store.json).
-# 10. Edit-session smoke: the edit_session example opens a session,
+# 8. Edit-session smoke: the edit_session example opens a session,
 #    walks all three recompute tiers (patched / recompiled / deferred)
 #    locally, then drives the same protocol across the wire (POST
 #    /sessions, POST /sessions/{id}/edit, GET /sessions/{id}) against an
-#    in-process server, asserting tier and cleanliness on each hop. The
-#    pr8_edit bench then re-measures warm-edit vs cold-open latency at
-#    ~120 and ~1200 nodes — asserting every edit stays clean on the
-#    patch tier and the warm edit beats the cold open by ≥10x
-#    (target/bench/BENCH_edit.json).
-# 11. Interchange-format gate: the format fault soak (tests/format_soak.rs,
+#    in-process server, asserting tier and cleanliness on each hop.
+# 9. Interchange-format gate: the format fault soak (tests/format_soak.rs,
 #    also in step 1) drives ≥500 corrupted/truncated/hostile-cap inputs
 #    through the strict parser and POST /designs — zero panics, zero
 #    wrong answers, every rejection typed. The slif_conv example then
 #    proves every corpus spec survives text → binary → text with the
-#    final text byte-identical to the first, and the pr9_wirefmt bench
-#    re-measures interchange write/strict-parse throughput at
-#    1k/10k/100k nodes, asserting every parse verifies
-#    (target/bench/BENCH_wirefmt.json).
-# 12. Analysis bench smoke: pr10_analyze re-measures flow-sensitive
-#    analysis throughput at ~1k/10k/100k design nodes and the memoized
-#    one-procedure re-analysis on the largest corpus spec — asserting
-#    the warm pass beats the cold full analysis by ≥5x and returns a
-#    bit-identical report (target/bench/BENCH_analyze.json).
-# 13. Benchmark smoke: the slifbench package's own tests (generator
+#    final text byte-identical to the first.
+# 10. Benchmark smoke: the slifbench package's own tests (generator
 #    determinism and counts, statistics, spans), then a 5-second
 #    edit_session run and a 30-second serve_store run. Every
 #    edit_session op checks its edits' tiers and that each document's
@@ -92,8 +72,9 @@
 #    included); every serve_store op strict-reads both GET encodings of
 #    a stored design and checks the posted hash against
 #    `encode_design`. Each run fails the step unless its result line
-#    reads `"correct": true`.
-# 14. Lint gate: clippy with warnings denied (the workspace sweep covers
+#    reads `"correct": true`. slifbench is the repo's one timing
+#    record; no step here writes a timing file.
+# 11. Lint gate: clippy with warnings denied (the workspace sweep covers
 #    crates/analyze like every other crate), plus `unwrap_used` on
 #    non-test code (without --all-targets, #[cfg(test)] code is not
 #    linted, which is exactly the carve-out we want: tests may unwrap,
@@ -118,18 +99,12 @@ cargo test -q --test analyze_props
 cargo test -q --test dataflow_props
 cargo run --release --quiet --example analyze_spec -- --deny-warnings
 cargo run --release --quiet --example analyze_spec -- --deny-warnings --format json
-mkdir -p target/bench
-cargo run --release --quiet -p slif-bench --bin pr3_bench target/bench/BENCH_pr3.json
-cargo run --release --quiet -p slif-serve --bin loadgen -- --self-serve --requests 500 --out target/bench/BENCH_serve.json
+cargo run --release --quiet -p slif-serve --bin loadgen -- --self-serve --requests 500
 cargo test -q --test store_soak
 cargo run --release --quiet -p slif-serve --bin restart_smoke
-cargo run --release --quiet -p slif-bench --bin pr7_store target/bench/BENCH_store.json
 cargo run --release --quiet --example edit_session
-cargo run --release --quiet -p slif-bench --bin pr8_edit target/bench/BENCH_edit.json
 cargo test -q --test format_soak
 cargo run --release --quiet --example slif_conv
-cargo run --release --quiet -p slif-bench --bin pr9_wirefmt target/bench/BENCH_wirefmt.json
-cargo run --release --quiet -p slif-bench --bin pr10_analyze target/bench/BENCH_analyze.json
 cargo test --release --offline --manifest-path slifbench/Cargo.toml
 bench_smoke() {
     local out

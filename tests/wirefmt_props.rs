@@ -52,6 +52,30 @@ fn corpus_designs_round_trip_byte_stably() {
     }
 }
 
+/// A generated design with its partition, just past every chunk size
+/// of the writers: more than 4096 nodes and 4096 channels, so the node
+/// segments (1024 nodes each), the channel segments and both kinds of
+/// partition segment (4096 entries each) all span several chunks.
+#[test]
+fn design_past_every_chunk_size_round_trips() {
+    let (design, partition) = DesignGenerator::new(4200)
+        .behaviors(2000)
+        .variables(2200)
+        .ports(6)
+        .processors(3)
+        .memories(2)
+        .buses(2)
+        .build();
+    let (nodes, channels) = (design.graph().node_count(), design.graph().channel_count());
+    assert!(
+        nodes > 4096 && channels > 4096,
+        "{nodes} nodes, {channels} channels"
+    );
+    for encoding in [Encoding::Text, Encoding::Binary] {
+        audit_round_trip(&design, Some(&partition), encoding);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
