@@ -42,4 +42,6 @@ pub use lower::{
     access_frequencies, lower_behavior, lower_spec, Access, AccessSummary, DEFAULT_BRANCH_PROB,
     DEFAULT_WHILE_ITERS,
 };
-pub use schedule::{alap, asap, fu_class, list_schedule, BlockSchedule, FuClass, ResourceSet};
+pub use schedule::{
+    alap, asap, fu_class, list_schedule, BlockSchedule, FuClass, ResourceSet, Scheduler,
+};

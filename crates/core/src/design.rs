@@ -8,11 +8,13 @@
 //! [`Partition`](crate::Partition) so that one design can be evaluated
 //! under many candidate partitions.
 
+use crate::compiled::CompiledDesign;
 use crate::component::{Bus, ClassKind, ComponentClass, Memory, Processor};
 use crate::graph::AccessGraph;
 use crate::ids::{BusId, ClassId, MemoryId, PmRef, ProcessorId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A SLIF design: functional objects plus allocated system components.
 ///
@@ -44,6 +46,25 @@ pub struct Design {
     processors: Vec<Processor>,
     memories: Vec<Memory>,
     buses: Vec<Bus>,
+    #[serde(skip)]
+    compiled: CompiledCache,
+}
+
+/// [`Design::compiled`]'s cache. It is a function of the other fields, so
+/// it compares equal, prints nothing, and clones by sharing.
+#[derive(Clone, Default)]
+struct CompiledCache(OnceLock<Arc<CompiledDesign>>);
+
+impl PartialEq for CompiledCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for CompiledCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("CompiledCache")
+    }
 }
 
 impl Design {
@@ -65,13 +86,30 @@ impl Design {
         &self.graph
     }
 
+    /// The design's [`CompiledDesign`], compiled on first use and shared
+    /// until the design changes: every `&mut self` method drops it. The
+    /// estimators that take a `&Design` read it, so estimating many
+    /// partitions of one design compiles it once.
+    pub fn compiled(&self) -> &CompiledDesign {
+        self.compiled
+            .0
+            .get_or_init(|| Arc::new(CompiledDesign::compile(self)))
+    }
+
+    /// Drops the cached compiled view; every `&mut self` method calls it.
+    fn changed(&mut self) {
+        self.compiled = CompiledCache::default();
+    }
+
     /// Mutable access to the functional-object side.
     pub fn graph_mut(&mut self) -> &mut AccessGraph {
+        self.changed();
         &mut self.graph
     }
 
     /// Registers a component class (technology type) and returns its id.
     pub fn add_class(&mut self, name: impl Into<String>, kind: ClassKind) -> ClassId {
+        self.changed();
         let id = ClassId(self.classes.len() as u32);
         self.classes.push(ComponentClass::new(name, kind));
         id
@@ -128,6 +166,7 @@ impl Design {
             self.class(processor.class()).kind().holds_behaviors(),
             "processor instances need a std-processor or custom-hw class"
         );
+        self.changed();
         let id = ProcessorId(self.processors.len() as u32);
         self.processors.push(processor);
         id
@@ -152,6 +191,7 @@ impl Design {
             self.class(memory.class()).kind() == ClassKind::Memory,
             "memory instances need a memory class"
         );
+        self.changed();
         let id = MemoryId(self.memories.len() as u32);
         self.memories.push(memory);
         id
@@ -159,6 +199,7 @@ impl Design {
 
     /// Allocates a bus instance.
     pub fn add_bus(&mut self, bus: Bus) -> BusId {
+        self.changed();
         let id = BusId(self.buses.len() as u32);
         self.buses.push(bus);
         id
@@ -198,6 +239,7 @@ impl Design {
     ///
     /// Panics if `id` did not come from this design.
     pub(crate) fn bus_mut(&mut self, id: BusId) -> &mut Bus {
+        self.changed();
         &mut self.buses[id.index()]
     }
 
@@ -303,6 +345,46 @@ mod tests {
         let ac = d.add_class("asic", ClassKind::CustomHw);
         let mc = d.add_class("sram", ClassKind::Memory);
         (d, pc, ac, mc)
+    }
+
+    #[test]
+    fn compiled_view_follows_every_change() {
+        let (mut d, pc, ac, mc) = design_with_classes();
+        let main = d.graph_mut().add_node("Main", NodeKind::process());
+        assert_eq!(*d.compiled(), CompiledDesign::compile(&d));
+        let snapshot = d.clone();
+        assert!(std::ptr::eq(snapshot.compiled(), d.compiled()));
+
+        let v = d.graph_mut().add_node("v", NodeKind::scalar(8));
+        assert_eq!(*d.compiled(), CompiledDesign::compile(&d));
+        d.graph_mut()
+            .add_channel(main, v.into(), AccessKind::Read)
+            .unwrap();
+        assert_eq!(d.compiled().channel_count(), 1);
+        d.add_class("fpga", ClassKind::CustomHw);
+        assert_eq!(*d.compiled(), CompiledDesign::compile(&d));
+        d.add_processor("cpu0", pc);
+        d.add_processor("asic0", ac);
+        assert_eq!(d.compiled().processor_count(), 2);
+        d.add_memory("ram0", mc);
+        assert_eq!(d.compiled().memory_count(), 1);
+        let bus = d.add_bus(Bus::new("b", 8, 1, 2));
+        assert_eq!(d.compiled().bus_bitwidth(bus), 8);
+        d.bus_mut(bus).set_bitwidth_unchecked(16);
+        assert_eq!(*d.compiled(), CompiledDesign::compile(&d));
+
+        // The clone taken earlier kept its own, older view.
+        assert_eq!(*snapshot.compiled(), CompiledDesign::compile(&snapshot));
+        assert_eq!(snapshot.compiled().node_count(), 1);
+    }
+
+    #[test]
+    fn the_compiled_view_does_not_affect_equality() {
+        let (d, ..) = design_with_classes();
+        let fresh = d.clone();
+        d.compiled();
+        assert_eq!(d, fresh);
+        assert_eq!(format!("{d:?}"), format!("{fresh:?}"));
     }
 
     #[test]

@@ -148,24 +148,26 @@ impl DesignGenerator {
         }
 
         // Channels: calls go strictly to higher-index behaviors (acyclic);
-        // reads/writes go to any variable or port.
+        // reads/writes go to any variable or port. Message passes only
+        // target processes (as in the specification language), so index
+        // them once with their behavior positions.
+        let processes: Vec<(usize, NodeId)> = behaviors
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, b)| d.graph().node(b).kind().is_process())
+            .collect();
         for (i, &src) in behaviors.iter().enumerate() {
             let edges = sample_count(self.avg_fanout, &mut rng);
+            let later_processes = &processes[processes.partition_point(|&(j, _)| j <= i)..];
             for _ in 0..edges {
                 let roll: f64 = rng.gen();
-                // Message passes only target processes (as in the
-                // specification language).
-                let later_processes: Vec<NodeId> = behaviors[i + 1..]
-                    .iter()
-                    .copied()
-                    .filter(|&b| d.graph().node(b).kind().is_process())
-                    .collect();
                 let (dst, kind) = if roll < 0.35 && i + 1 < behaviors.len() {
                     let j = rng.gen_range(i + 1..behaviors.len());
                     (behaviors[j].into(), AccessKind::Call)
                 } else if roll < 0.45 && !later_processes.is_empty() {
                     let j = rng.gen_range(0..later_processes.len());
-                    (later_processes[j].into(), AccessKind::Message)
+                    (later_processes[j].1.into(), AccessKind::Message)
                 } else if !variables.is_empty() && (roll < 0.9 || ports.is_empty()) {
                     let v = variables[rng.gen_range(0..variables.len())];
                     let kind = if rng.gen_bool(0.5) {

@@ -6,8 +6,8 @@ use crate::bitrate::BitrateEstimator;
 use crate::config::EstimatorConfig;
 use crate::exectime::ExecTimeEstimator;
 use crate::incremental::IncrementalEstimator;
-use crate::io::io_pins;
-use crate::size::size_with;
+use crate::io::io_pins_compiled;
+use crate::size::size_with_compiled;
 use crate::warning::EstimateWarning;
 use slif_core::{BusId, ChannelId, CoreError, Design, NodeId, Partition, PmRef};
 use std::fmt;
@@ -115,6 +115,7 @@ impl DesignReport {
         partition: &Partition,
         config: EstimatorConfig,
     ) -> Result<Self, CoreError> {
+        let cd = design.compiled();
         let mut warnings = Vec::new();
         let mut components = Vec::new();
         for pm in design.pm_refs() {
@@ -124,7 +125,7 @@ impl DesignReport {
                     (
                         proc.name().to_owned(),
                         proc.size_constraint(),
-                        Some(io_pins(design, partition, p)?),
+                        Some(io_pins_compiled(cd, partition, p)?),
                         proc.pin_constraint(),
                     )
                 }
@@ -136,14 +137,14 @@ impl DesignReport {
             components.push(ComponentReport {
                 component: pm,
                 name,
-                size: size_with(design, partition, pm, &config, &mut warnings)?,
+                size: size_with_compiled(cd, partition, pm, &config, &mut warnings)?,
                 size_constraint,
                 pins,
                 pin_constraint,
             });
         }
 
-        let exec = ExecTimeEstimator::with_config(design, partition, config);
+        let exec = ExecTimeEstimator::from_compiled_with_config(cd, partition, config);
         let mut bitrate = BitrateEstimator::with_estimator(partition, exec);
         let mut buses = Vec::new();
         for b in design.bus_ids() {

@@ -204,8 +204,7 @@ fn tag_schedule_concurrency(
         };
         let result = slif_techlib::synthesize_behavior(g, model);
         for (block, sched) in g.block_ids().zip(&result.schedules) {
-            let _ = block;
-            for group in sched.concurrent_groups() {
+            for group in sched.concurrent_groups(&g.block(block).ops) {
                 // Distinct system-access targets started together.
                 let mut targets: Vec<&str> = group
                     .iter()

@@ -8,7 +8,7 @@
 //! operation statically (an instruction exists whether or not it runs).
 
 use crate::models::{BehaviorWeights, ProcessorModel};
-use slif_cdfg::{asap, Cdfg};
+use slif_cdfg::{Cdfg, Scheduler};
 
 /// Pre-compiles one behavior for one processor model.
 ///
@@ -30,6 +30,7 @@ use slif_cdfg::{asap, Cdfg};
 pub fn compile_behavior(g: &Cdfg, model: &ProcessorModel) -> BehaviorWeights {
     let mut ict_cycles = 0.0;
     let mut bytes = model.behavior_overhead_bytes;
+    let mut scheduler = Scheduler::new();
     for block_id in g.block_ids() {
         let block = g.block(block_id);
         let sum_cycles: u64 = block
@@ -41,7 +42,7 @@ pub fn compile_behavior(g: &Cdfg, model: &ProcessorModel) -> BehaviorWeights {
             // Pipelined issue: independent ops overlap up to the issue
             // width, but never below the block's dataflow critical path.
             let throughput_bound = (sum_cycles as f64 / f64::from(model.issue_width)).ceil() as u64;
-            let critical_path = asap(g, block_id, &|k| model.cycles(k)).latency;
+            let critical_path = scheduler.asap(g, block_id, &|k| model.cycles(k)).latency;
             throughput_bound.max(critical_path)
         } else {
             sum_cycles

@@ -38,6 +38,8 @@
 mod compile;
 mod library;
 mod models;
+#[cfg(test)]
+mod schedule_oracle;
 mod synth;
 
 pub use compile::compile_behavior;

@@ -11,8 +11,8 @@
 //! \[1\]) can discount shared functional units.
 
 use crate::models::{AsicModel, BehaviorWeights};
-use slif_cdfg::{list_schedule, BlockSchedule, Cdfg, FuClass, OpKind};
-use std::collections::{HashMap, HashSet};
+use slif_cdfg::{BlockSchedule, Cdfg, FuClass, OpKind, Scheduler};
+use std::collections::HashSet;
 
 /// The full result of pre-synthesizing one behavior.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,24 +44,24 @@ pub struct SynthesisResult {
 pub fn synthesize_behavior(g: &Cdfg, model: &AsicModel) -> SynthesisResult {
     let delay = |k: &OpKind| model.cycles(k);
     let mut ict_cycles = 0.0;
-    let mut peak: HashMap<FuClass, u32> = HashMap::new();
+    let mut peak = [0u32; FuClass::COUNT];
     let mut schedules = Vec::with_capacity(g.block_count());
+    let mut scheduler = Scheduler::new();
     for block_id in g.block_ids() {
-        let sched = list_schedule(g, block_id, &delay, model.resources);
+        let sched = scheduler.list_schedule(g, block_id, &delay, model.resources);
         ict_cycles += g.block(block_id).count.avg * sched.latency as f64;
-        for (&class, &n) in &sched.peak_usage {
-            let e = peak.entry(class).or_insert(0);
-            *e = (*e).max(n);
+        for (p, &n) in peak.iter_mut().zip(&sched.peak_usage) {
+            *p = (*p).max(n);
         }
         schedules.push(sched);
     }
 
     // Datapath area: the functional units the schedule actually needed,
     // plus registers for the behavior's local storage.
-    let fu_gates = peak
+    let fu_gates = FuClass::ALL
         .iter()
-        .map(|(&class, &n)| {
-            u64::from(n)
+        .map(|&class| {
+            u64::from(peak[class.index()])
                 * match class {
                     FuClass::Alu => model.alu_gates,
                     FuClass::Mul => model.mul_gates,

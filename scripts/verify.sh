@@ -65,15 +65,17 @@
 #    proves every corpus spec survives text → binary → text with the
 #    final text byte-identical to the first.
 # 10. Benchmark smoke: the slifbench package's own tests (generator
-#    determinism and counts, statistics, spans), then a 5-second
-#    edit_session run and a 30-second serve_store run. Every
-#    edit_session op checks its edits' tiers and that each document's
-#    session ends `==` a cold open (reports with flow findings and spans
-#    included); every serve_store op strict-reads both GET encodings of
-#    a stored design and checks the posted hash against
-#    `encode_design`. Each run fails the step unless its result line
-#    reads `"correct": true`. slifbench is the repo's one timing
-#    record; no step here writes a timing file.
+#    determinism and counts, statistics, spans), then a 10-second
+#    cold_report run, a 5-second edit_session run and a 30-second
+#    serve_store run. Every cold_report op checks Figure 4's object and
+#    channel counts (and the generator's for generated specs) and that
+#    its round equals the warm-up round; every edit_session op checks
+#    its edits' tiers and that each document's session ends `==` a cold
+#    open (reports with flow findings and spans included); every
+#    serve_store op strict-reads both GET encodings of a stored design
+#    and checks the posted hash against `encode_design`. Each run fails
+#    the step unless its result line reads `"correct": true`. slifbench
+#    is the repo's one timing record; no step here writes a timing file.
 # 11. Lint gate: clippy with warnings denied (the workspace sweep covers
 #    crates/analyze like every other crate), plus `unwrap_used` on
 #    non-test code (without --all-targets, #[cfg(test)] code is not
@@ -113,6 +115,10 @@ bench_smoke() {
     echo "$out" | tail -n 1
     echo "$out" | tail -n 1 | grep -q '"correct": true'
 }
+# Each cold_report set-up runs a whole round (~35 ms) and a run spreads
+# 127 repeat set-ups over its budget, so a 5-s run leaves little room
+# for ops between them; a 10-s run fits ~60.
+bench_smoke cold_report 10
 bench_smoke edit_session 5
 # serve_store re-binds its server and re-posts its read set 128 times per
 # run (~0.15 s each), so it needs ~30 s to leave room for whole cycles.
