@@ -4,15 +4,16 @@
 //! implemented once:
 //!
 //! * [`write_atomic`] — the write→fsync→rename dance: bytes go to a
-//!   sibling `*.tmp` file which is fsynced and then renamed over the
-//!   destination (and the directory entry itself fsynced, best effort),
-//!   so a crash mid-write leaves either the previous file or a temp
-//!   file — never a half-written blob under the real name.
+//!   sibling `*.tmp` file of their own which is fsynced and then renamed
+//!   over the destination (and the directory entry itself fsynced, best
+//!   effort), so a crash mid-write leaves either the previous file or a
+//!   temp file — never a half-written blob under the real name — and
+//!   writers racing on one destination never share a temp file.
 //! * [`frame`]/[`unframe`] — the versioned, checksummed container every
 //!   blob is wrapped in before it touches a disk:
 //!
 //!   ```text
-//!   magic    8 bytes   format-specific (b"SLIFCKPT", b"SLIFCOBJ", ...)
+//!   magic    8 bytes   format-specific (b"SLIFCKPT", b"SLIFWSEG", b"SLIFCREF")
 //!   version  u32 LE
 //!   length   u64 LE    payload byte count
 //!   checksum u64 LE    FNV-1a 64 over the payload
@@ -34,6 +35,7 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Byte length of the [`frame`] header (magic + version + length +
 /// checksum).
@@ -101,12 +103,18 @@ impl std::error::Error for FrameError {}
 /// Wraps `payload` in the versioned, checksummed container.
 pub fn frame(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    frame_into(&mut out, magic, version, payload);
+    out
+}
+
+/// Appends `payload`, wrapped as by [`frame`], to `out` — how a stream
+/// of frames is built in one buffer.
+pub fn frame_into(out: &mut Vec<u8>, magic: &[u8; 8], version: u32, payload: &[u8]) {
     out.extend_from_slice(magic);
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Verifies a framed blob's magic, version, length, and checksum, and
@@ -147,21 +155,38 @@ pub fn unframe<'a>(
 /// a best-effort fsync of the parent directory so the rename itself is
 /// durable.
 ///
+/// Each call writes its own temp file (`<path>.<pid>-<n>.tmp`), so
+/// concurrent writers of one path each rename a complete file: one
+/// could otherwise truncate the temp file another had just renamed into
+/// place, and a reader would see the half-written blob.
+///
 /// # Errors
 ///
 /// Any filesystem error from the create/write/fsync/rename steps; the
 /// destination is never left half-written.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
+    tmp_name.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = Path::new(&tmp_name);
-    let mut file = fs::File::create(tmp)?;
-    file.write_all(bytes)?;
-    // fsync before rename: the rename must never make visible a file
-    // whose data is still in the page cache only.
-    file.sync_all()?;
-    drop(file);
-    fs::rename(tmp, path)?;
+    let renamed = (|| {
+        let mut file = fs::File::create(tmp)?;
+        file.write_all(bytes)?;
+        // fsync before rename: the rename must never make visible a file
+        // whose data is still in the page cache only.
+        file.sync_all()?;
+        drop(file);
+        fs::rename(tmp, path)
+    })();
+    if renamed.is_err() {
+        // No later write reuses this temp name, so clean it up now.
+        let _ = fs::remove_file(tmp);
+    }
+    renamed?;
     if let Some(dir) = path.parent() {
         if let Ok(d) = fs::File::open(dir) {
             let _ = d.sync_all();
@@ -214,15 +239,51 @@ mod tests {
         assert_eq!(unframe(&MAGIC, 1, &bad), Err(FrameError::Truncated));
     }
 
+    /// The temp files `write_atomic` left beside `path`.
+    fn temp_droppings(path: &Path) -> Vec<std::path::PathBuf> {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .filter_map(|e| Some(e.ok()?.path()))
+            .filter(|p| {
+                let n = p.file_name().unwrap().to_string_lossy();
+                n.starts_with(&format!("{name}.")) && n.ends_with(".tmp")
+            })
+            .collect()
+    }
+
     #[test]
     fn write_atomic_leaves_no_temp_droppings() {
         let path = std::env::temp_dir().join("slif-atomic-io-test.bin");
         write_atomic(&path, b"first").unwrap();
         write_atomic(&path, b"second").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second");
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        assert!(!Path::new(&tmp).exists());
+        assert_eq!(temp_droppings(&path), Vec::<std::path::PathBuf>::new());
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Writers racing on one path must not share a temp file: one would
+    /// truncate the file another renames into place, and the loser's
+    /// rename would fail.
+    #[test]
+    fn racing_writers_of_one_path_each_rename_a_whole_file() {
+        let path =
+            std::env::temp_dir().join(format!("slif-atomic-io-race-{}.bin", std::process::id()));
+        let payloads: Vec<Vec<u8>> = (1..=4u8).map(|i| vec![i; 64 * 1024]).collect();
+        let start = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|s| {
+            for payload in &payloads {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..8 {
+                        write_atomic(path, payload).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(payloads.contains(&fs::read(&path).unwrap()));
+        assert_eq!(temp_droppings(&path), Vec::<std::path::PathBuf>::new());
         fs::remove_file(&path).unwrap();
     }
 

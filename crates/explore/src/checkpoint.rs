@@ -730,10 +730,13 @@ mod tests {
         let (design, ckpt) = sample(5);
         let path = std::env::temp_dir().join("slif-ckpt-roundtrip-test.ckpt");
         ckpt.save(&path).unwrap();
-        // No temp droppings left behind.
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        assert!(!Path::new(&tmp).exists());
+        // No temp droppings (`<name>.<pid>-<n>.tmp`) left behind.
+        let droppings = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("slif-ckpt-roundtrip-test.ckpt.") && n.ends_with(".tmp"))
+            .count();
+        assert_eq!(droppings, 0);
         let back = ExplorationCheckpoint::load(&path, &design).unwrap();
         assert_eq!(back, ckpt);
         std::fs::remove_file(&path).unwrap();

@@ -19,7 +19,10 @@
 //! [`slif_store::encode_design`] call, one frame each,
 //! and the end key is the SHA-256 of those same bytes; the reader
 //! hands design segments to the store's [`SegmentDecoder`], so the
-//! design record layout is written in one place.
+//! design record layout is written in one place. The frame constants
+//! and the design framing live in [`slif_store::canonical`] too: a
+//! `.slifb` file with no partition is byte for byte the object the
+//! design store files for the design.
 //!
 //! Unknown kinds are skipped with a warning. The reader checks each
 //! frame's *declared* length against
@@ -38,9 +41,9 @@ use slif_core::atomic_io::{frame, le_u32, le_u64, unframe, FrameError, FRAME_HEA
 use slif_core::codec::{Dec, Enc};
 use slif_core::{BusId, ChannelId, Design, MemoryId, NodeId, Partition, PmRef, ProcessorId};
 use slif_speclang::{codes, Diagnostic, Span};
-use slif_store::canonical::{segment_payloads, SegmentDecoder, SegmentError};
+use slif_store::canonical::{end_payload, segment_payloads, SegmentDecoder, SegmentError};
 pub use slif_store::canonical::{
-    SEG_CHANNELS, SEG_CLASSES, SEG_COMPONENTS, SEG_HEADER, SEG_NODES, SEG_PORTS,
+    SEG_CHANNELS, SEG_CLASSES, SEG_COMPONENTS, SEG_END, SEG_HEADER, SEG_NODES, SEG_PORTS,
 };
 use slif_store::{encode_design, ContentKey};
 
@@ -52,8 +55,6 @@ use super::{
 pub const SEG_PARTITION: u8 = 7;
 /// Segment kind: extension container of nested frames (skipped).
 pub const SEG_GROUP: u8 = 8;
-/// Segment kind: trailer carrying the design's content key.
-pub const SEG_END: u8 = 9;
 
 const PARTITION_PER_SEGMENT: usize = 4096;
 
@@ -71,7 +72,9 @@ fn emit<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FormatError> {
 /// The design segments are the payloads of the design's canonical
 /// bytes, framed one by one; their chunking (1024 nodes / 4096 channels
 /// per segment, 4096 assignments per partition segment) bounds every
-/// segment, so a reader can impose a modest segment cap.
+/// segment, so a reader can impose a modest segment cap. Without a
+/// partition the output is [`slif_store::canonical::frame_design`] of
+/// the canonical bytes — the design's stored object.
 ///
 /// # Errors
 ///
@@ -136,9 +139,7 @@ pub fn write_binary<W: Write>(
         }
     }
 
-    let mut end = vec![SEG_END];
-    end.extend_from_slice(&ContentKey::of(&canonical).0);
-    emit(w, &end)
+    emit(w, &end_payload(&ContentKey::of(&canonical)))
 }
 
 // ---------------------------------------------------------------------------
@@ -685,6 +686,7 @@ fn validate_group(payload: &[u8], depth: usize, max_depth: usize) -> Result<(), 
 mod tests {
     use super::super::testutil::sample_design;
     use super::*;
+    use slif_store::canonical::frame_design;
 
     fn write(d: &Design, p: Option<&Partition>) -> Vec<u8> {
         let mut out = Vec::new();
@@ -736,10 +738,13 @@ mod tests {
                 expected.extend(frame(&SEGMENT_MAGIC, SEGMENT_VERSION, &rest[4..4 + len]));
                 rest = &rest[4 + len..];
             }
+            let key = ContentKey::of(&canonical);
             let mut end = vec![SEG_END];
-            end.extend_from_slice(&ContentKey::of(&canonical).0);
+            end.extend_from_slice(&key.0);
             expected.extend(frame(&SEGMENT_MAGIC, SEGMENT_VERSION, &end));
             assert_eq!(write(&d, None), expected);
+            // ...which is the object the store files for the design.
+            assert_eq!(frame_design(&canonical, &key), expected);
         }
     }
 

@@ -16,8 +16,9 @@
 //!   checksum-framed segments ([`binary`]) reusing the
 //!   [`slif_core::atomic_io`] frame layout; its design segments are the
 //!   store's canonical segments ([`slif_store::canonical`]), framed one
-//!   by one, so the design layout has one encoder and one decoder. The
-//!   reader verifies each
+//!   by one, so the design layout has one encoder and one decoder, and
+//!   a `.slifb` file with no partition is exactly a stored design
+//!   object. The reader verifies each
 //!   frame's magic, version, declared length (against
 //!   [`FormatLimits::max_segment_bytes`], *before* any allocation) and
 //!   checksum; a damaged segment is a typed refusal in strict mode and
@@ -35,19 +36,17 @@ use std::fmt;
 
 use slif_core::{CoreError, Design, GraphLimits, Partition};
 use slif_speclang::Diagnostic;
-use slif_store::ContentKey;
+use slif_store::{encode_design, ContentKey};
 
 pub mod binary;
 pub mod text;
+
+pub use slif_store::canonical::{SEGMENT_MAGIC, SEGMENT_VERSION};
 
 /// The text encoding's first-line header (followed by the version).
 pub const TEXT_MAGIC: &str = "slif-wire";
 /// The text encoding's format version.
 pub const TEXT_VERSION: u32 = 1;
-/// Frame magic for one binary segment.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"SLIFWSEG";
-/// Frame version for binary segments.
-pub const SEGMENT_VERSION: u32 = 1;
 
 /// Resource caps a reader enforces while parsing untrusted bytes.
 ///
@@ -395,7 +394,10 @@ pub fn write_bytes(
 ) -> Result<Vec<u8>, FormatError> {
     let mut out = Vec::new();
     match encoding {
-        Encoding::Text => text::write_text(design, partition, &mut out)?,
+        Encoding::Text => {
+            let key = ContentKey::of(&encode_design(design));
+            text::write_text(design, partition, &key, &mut out)?;
+        }
         Encoding::Binary => binary::write_binary(design, partition, &mut out)?,
     }
     Ok(out)

@@ -94,9 +94,12 @@ fn access_kind_str(k: AccessKind) -> &'static str {
 
 /// Writes `design` (and `partition`, when given) as `.slif` text.
 ///
-/// The output is deterministic — equal inputs produce identical bytes —
-/// and lines are emitted one at a time, so the writer never buffers the
-/// whole file.
+/// `key` is the design's content key, which the `check` line carries:
+/// `ContentKey::of(&encode_design(design))`, as
+/// [`write_bytes`](super::write_bytes) computes it, or the name a
+/// verified store read returned the design under. The output is
+/// deterministic — equal inputs produce identical bytes — and lines are
+/// emitted one at a time, so the writer never buffers the whole file.
 ///
 /// # Errors
 ///
@@ -106,6 +109,7 @@ fn access_kind_str(k: AccessKind) -> &'static str {
 pub fn write_text<W: Write>(
     design: &Design,
     partition: Option<&Partition>,
+    key: &ContentKey,
     w: &mut W,
 ) -> Result<(), FormatError> {
     let wr = |e: &std::io::Error| io_err("text write", e);
@@ -273,7 +277,6 @@ pub fn write_text<W: Write>(
     }
 
     writeln!(w, "[end]").map_err(|e| wr(&e))?;
-    let key = ContentKey::of(&slif_store::encode_design(design));
     writeln!(w, "check {}", key.to_hex()).map_err(|e| wr(&e))?;
     Ok(())
 }
@@ -1196,9 +1199,13 @@ mod tests {
     use super::super::testutil::sample_design;
     use super::*;
 
+    fn key(d: &Design) -> ContentKey {
+        ContentKey::of(&slif_store::encode_design(d))
+    }
+
     fn write(d: &Design, p: Option<&Partition>) -> Vec<u8> {
         let mut out = Vec::new();
-        write_text(d, p, &mut out).expect("write");
+        write_text(d, p, &key(d), &mut out).expect("write");
         out
     }
 
@@ -1379,7 +1386,7 @@ mod tests {
     fn unencodable_names_are_refused_by_the_writer() {
         let mut d = Design::new("has space");
         d.add_class("c", ClassKind::StdProcessor);
-        let err = write_text(&d, None, &mut Vec::new()).expect_err("must refuse");
+        let err = write_text(&d, None, &key(&d), &mut Vec::new()).expect_err("must refuse");
         assert!(matches!(err, FormatError::Unencodable { .. }), "{err:?}");
     }
 

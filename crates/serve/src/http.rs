@@ -6,15 +6,19 @@
 //! hostile input into a *typed* refusal instead of unbounded work:
 //!
 //! * **Slow loris** — every request carries an *absolute* read budget:
-//!   [`read_request`] records a deadline on entry and shrinks the socket
-//!   timeout to the remaining budget before each read, so a client that
-//!   dribbles one byte per read cannot extend its welcome — the whole
-//!   head-plus-body read is bounded by one budget, after which it gets
-//!   [`RecvError::Timeout`] (wire status 408) and the connection back.
-//!   A budget that expires *before any byte arrives* is an idle
-//!   keep-alive connection, not an attack, and closes silently
-//!   ([`RecvError::Closed`]). [`write_response`] bounds the write side
-//!   the same way against a non-reading client.
+//!   [`read_request`] starts a deadline when the request's first byte
+//!   arrives and shrinks the socket timeout to the remaining budget
+//!   before each read, so a client that dribbles one byte per read
+//!   cannot extend its welcome — the whole head-plus-body read is
+//!   bounded by one budget, after which it gets [`RecvError::Timeout`]
+//!   (wire status 408) and the connection back. The wait *before* the
+//!   first byte is bounded by one budget of its own: when it expires the
+//!   connection is an idle keep-alive one, not an attack, and closes
+//!   silently ([`RecvError::Closed`]). That idle gap is not charged to
+//!   the request that follows it, so a connection holds a worker for at
+//!   most one idle bound plus one budget per request.
+//!   [`write_response`] bounds the write side the same way against a
+//!   non-reading client.
 //! * **Oversized requests** — header bytes are capped at
 //!   [`MAX_HEAD_BYTES`]; a declared `Content-Length` beyond the
 //!   configured body cap is refused ([`RecvError::TooLarge`], wire 413)
@@ -225,8 +229,10 @@ impl<'a> HeadReader<'a> {
     }
 }
 
-/// Reads one request within an absolute time `budget`, honouring the
-/// `max_body` cap.
+/// Reads one request within an absolute time `budget`, counted from
+/// its first byte, honouring the `max_body` cap. The wait for that
+/// first byte is bounded by `budget` too, and ends in
+/// [`RecvError::Closed`].
 ///
 /// `carry` holds bytes over-read past the previous request on this
 /// connection (a pipelined next request). It is consumed first and
@@ -243,13 +249,18 @@ pub fn read_request(
     budget: Duration,
     carry: &mut Vec<u8>,
 ) -> Result<Request, RecvError> {
-    let deadline = Some(Instant::now() + budget);
     // Read the head byte-wise up to MAX_HEAD_BYTES, splitting CRLF lines.
-    let mut reader = HeadReader::new(stream, deadline, std::mem::take(carry));
+    // Until the first byte this deadline bounds the idle wait.
+    let mut reader = HeadReader::new(stream, Some(Instant::now() + budget), std::mem::take(carry));
     let mut head: Vec<u8> = Vec::with_capacity(256);
     loop {
         match reader.next_byte() {
             Ok(Some(b)) => {
+                if head.is_empty() {
+                    // The request starts here: charge it none of the
+                    // keep-alive idle gap before it.
+                    reader.deadline = Some(Instant::now() + budget);
+                }
                 head.push(b);
                 if head.len() > MAX_HEAD_BYTES {
                     return Err(RecvError::TooLarge {
@@ -342,6 +353,7 @@ pub fn read_request(
             actual: content_length,
         });
     }
+    let deadline = reader.deadline;
     let mut body = Vec::with_capacity(content_length);
     let leftover = reader.leftover();
     let take = leftover.len().min(content_length);
@@ -590,6 +602,26 @@ mod tests {
         );
         drop(server);
         dripper.join().unwrap();
+    }
+
+    /// A keep-alive client's idle gap before its next request is not
+    /// charged to that request: the budget starts with the first byte.
+    #[test]
+    fn idle_wait_before_the_first_byte_is_not_charged_to_the_request() {
+        let budget = Duration::from_millis(1000);
+        let (mut client, mut server) = pair();
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(budget * 6 / 10);
+            client
+                .write_all(b"POST /v1/parse HTTP/1.1\r\nContent-Length: 5\r\n\r\n")
+                .unwrap();
+            std::thread::sleep(budget * 6 / 10);
+            client.write_all(b"hello").unwrap();
+            client
+        });
+        let request = read_one(&mut server, 1024, budget);
+        drop(writer.join().unwrap());
+        assert_eq!(request.unwrap().body, b"hello");
     }
 
     #[test]

@@ -727,7 +727,11 @@ fn post_design(inner: &Inner, request: &Request) -> Response {
 /// (`application/octet-stream`), anything else the text form. Like the
 /// other content-addressed reads this needs no API key and stays up
 /// during drain; a damaged cache object is a quarantined 404, never a
-/// wrong answer (the cache re-hashes and strictly decodes on read).
+/// wrong answer (the cache checks every frame, the end key and the
+/// SHA-256 against the hash, and strictly decodes on read). The stored
+/// object is the design's `.slifb` file, so the binary reply is its
+/// verified bytes as they are, and the text reply carries the hash as
+/// its `check` key: neither encodes nor hashes the design again.
 fn get_design(inner: &Inner, path: &str, request: &Request) -> Response {
     let Some(store) = &inner.durable else {
         return Response::new(
@@ -743,28 +747,19 @@ fn get_design(inner: &Inner, path: &str, request: &Request) -> Response {
             "design hash must be 64 hex digits\n",
         );
     };
-    let Some(design) = store.cache().get_by_key(&key) else {
+    let Some((design, object)) = store.cache().get_by_key(&key) else {
         return Response::new(404, "Not Found", format!("no such design: {}\n", key.to_hex()));
     };
     let binary = request
         .header("accept")
         .is_some_and(|v| v.contains("octet-stream") || v.contains("x-slifb"));
-    let encoding = if binary {
-        slif_formats::Encoding::Binary
-    } else {
-        slif_formats::Encoding::Text
-    };
-    match slif_formats::write_bytes(&design, None, encoding) {
-        Ok(bytes) => {
-            let resp = Response::new(200, "OK", bytes);
-            if binary {
-                resp.with_content_type("application/octet-stream")
-            } else {
-                resp
-            }
-        }
-        // A verified cached design always encodes; refuse without dying
-        // if a future writer grows a failure mode.
+    if binary {
+        return Response::new(200, "OK", object).with_content_type("application/octet-stream");
+    }
+    let mut text = Vec::new();
+    match slif_formats::wirefmt::text::write_text(&design, None, &key, &mut text) {
+        Ok(()) => Response::new(200, "OK", text),
+        // A name the line grammar cannot carry; refuse without dying.
         Err(e) => Response::new(
             500,
             "Internal Server Error",
@@ -1530,6 +1525,80 @@ mod tests {
             )
             .unwrap();
             assert_eq!(out.design, design);
+        }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn stored_designs_are_slifb_files_and_gets_serve_them_as_they_are() {
+        let dir =
+            std::env::temp_dir().join(format!("slif-serve-designs-slifb-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::bind(
+            ServerConfig::new()
+                .with_conn_workers(2)
+                .with_io_timeouts(Duration::from_secs(5), Duration::from_secs(5))
+                .with_max_request_bytes(4 << 20)
+                .with_runtime(ServiceConfig::new().with_workers(2))
+                .with_store_dir(&dir),
+        )
+        .unwrap();
+        let addr = server.addr();
+        let get_binary = |path: &str| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.write_all(
+                format!("GET {path} HTTP/1.1\r\naccept: application/octet-stream\r\n\r\n")
+                    .as_bytes(),
+            )
+            .unwrap();
+            read_response(&mut s).unwrap()
+        };
+        // The big design spans several node frames.
+        let (big, _) = slif_core::gen::DesignGenerator::new(8)
+            .behaviors(1200)
+            .variables(400)
+            .build();
+        assert!(big.graph().node_count() > 1024);
+        let (small, _) = sample_wire_bytes(slif_formats::Encoding::Text);
+        for design in [small, big] {
+            let stored =
+                slif_formats::write_bytes(&design, None, slif_formats::Encoding::Binary).unwrap();
+            let text =
+                slif_formats::write_bytes(&design, None, slif_formats::Encoding::Text).unwrap();
+            for body in [&text, &stored] {
+                let (status, reply) = roundtrip(addr, &post_raw("/designs", body, ""));
+                let reply = String::from_utf8_lossy(&reply).into_owned();
+                assert_eq!(status, 201, "{reply}");
+                let hash = reply
+                    .lines()
+                    .find_map(|l| l.strip_prefix("design "))
+                    .unwrap();
+                let object = std::fs::read(dir.join("cache").join("objects").join(hash)).unwrap();
+                assert!(
+                    object == stored,
+                    "the object is not the design's .slifb file"
+                );
+                let out = slif_formats::read_bytes(
+                    &object,
+                    slif_formats::Strictness::Strict,
+                    &slif_formats::FormatLimits::default(),
+                )
+                .unwrap();
+                assert!(out.verified);
+                assert_eq!(out.key.to_hex(), hash);
+                let path = format!("/designs/{hash}");
+                let (status, _, binary) = get_binary(&path);
+                assert_eq!(status, 200);
+                assert!(binary == object, "the binary GET is not the stored object");
+                let (status, _, exported) = get(addr, &path);
+                assert_eq!(status, 200);
+                assert!(
+                    exported == text,
+                    "the text GET is not the design's .slif text"
+                );
+            }
         }
         server.shutdown();
         let _ = std::fs::remove_dir_all(dir);

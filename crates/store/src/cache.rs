@@ -3,26 +3,33 @@
 //! Layout under the cache directory:
 //!
 //! ```text
-//! objects/<sha256-of-canonical-bytes>   framed canonical Design
+//! objects/<sha256-of-canonical-bytes>   the design's .slifb file
 //! refs/<sha256-of-spec-source>          framed 32-byte content key
 //! ```
 //!
-//! A stored design is one object whose file name **is** the SHA-256 of
-//! its payload, so re-hashing the payload on every read verifies, for
-//! free, that a hit is bit-identical to what was stored. `POST
-//! /designs` files objects alone ([`put_object`](DesignCache::put_object));
-//! the `/v1` source cache adds a ref per spec source
-//! ([`put`](DesignCache::put)), and a source lookup is the ref hop
-//! followed by the same object read `GET /designs/{hash}` makes: ref
-//! frame checksum → object frame checksum → content hash → strict
-//! canonical decode.
+//! A stored design is one object: its `.slifb` file with no partition
+//! ([`frame_design`]) — the canonical segment payloads, one frame each,
+//! then the end frame carrying the content key — filed under that same
+//! key, the SHA-256 of its canonical bytes. `POST /designs` files
+//! objects alone ([`put_object`](DesignCache::put_object)); the `/v1`
+//! source cache adds a ref per spec source ([`put`](DesignCache::put)),
+//! and a source lookup is the ref hop followed by the same object read
+//! `GET /designs/{hash}` makes ([`get_by_key`](DesignCache::get_by_key)):
+//! ref frame checksum → every object frame's checksum → end key against
+//! the file name → SHA-256 of the canonical bytes (rebuilt from the
+//! frame payloads, not re-encoded) against the file name → strict
+//! canonical decode. Bytes that pass are byte for byte what the `.slifb`
+//! writer emits for the design they decode to, so a verified object is
+//! served as it is.
 //!
 //! Failures never reach a client: any unreadable, misframed, or
 //! hash-mismatched file is renamed to a `.corrupt` sidecar, counted in
-//! [`CacheStats::quarantined`], and reported as a plain miss. The next
-//! cold compile re-populates the slot through an atomic write.
+//! [`CacheStats::quarantined`], and reported as a plain miss. Every put
+//! writes its object through an atomic rename, even over a file already
+//! filed under the key, so the next put or cold compile repairs a
+//! damaged object or one an older build filed in another container.
 
-use crate::canonical::{decode_design, encode_design};
+use crate::canonical::{decode_design, encode_design, frame_design, unframe_design};
 use crate::error::StoreError;
 use crate::sha256::ContentKey;
 use slif_core::atomic_io;
@@ -31,12 +38,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The 8-byte magic of an object file (a framed canonical design).
-pub const OBJECT_MAGIC: [u8; 8] = *b"SLIFCOBJ";
 /// The 8-byte magic of a ref file (a framed content key).
 pub const REF_MAGIC: [u8; 8] = *b"SLIFCREF";
-/// The container version of object files.
-pub const OBJECT_VERSION: u32 = 1;
 /// The container version of ref files. Version 1 refs were also filed
 /// under the interchange bytes of `POST /designs` bodies, which let a
 /// POST answer later `/v1` requests for those bytes; they read as
@@ -122,17 +125,13 @@ impl DesignCache {
         Ok(())
     }
 
-    /// Writes an object file unless one is already filed under `key`.
+    /// Files the object of `canonical` under `key`, replacing whatever
+    /// is there: puts of one design write the same bytes, and each
+    /// renames a whole file into place.
     fn write_object(&self, key: &ContentKey, canonical: &[u8]) -> Result<(), StoreError> {
         let object = self.objects.join(key.to_hex());
-        if !object.exists() {
-            atomic_io::write_atomic(
-                &object,
-                &atomic_io::frame(&OBJECT_MAGIC, OBJECT_VERSION, canonical),
-            )
-            .map_err(|e| StoreError::io(&object, &e))?;
-        }
-        Ok(())
+        atomic_io::write_atomic(&object, &frame_design(canonical, key))
+            .map_err(|e| StoreError::io(&object, &e))
     }
 
     /// Looks up the design cached for a spec source: the ref, then
@@ -142,43 +141,31 @@ impl DesignCache {
     /// miss (with quarantine where there was a file to blame).
     pub fn get(&self, source: &[u8]) -> Option<Design> {
         let reference = self.refs.join(ContentKey::of(source).to_hex());
-        let key = match self.read_framed(&reference, &REF_MAGIC, REF_VERSION) {
-            Lookup::Absent => return self.miss(),
-            Lookup::Damaged => return self.miss(),
-            Lookup::Payload(p) => {
-                if p.len() != 32 {
-                    self.quarantine(&reference);
-                    return self.miss();
-                }
-                let mut k = [0u8; 32];
-                k.copy_from_slice(&p);
-                ContentKey(k)
-            }
+        let bytes = self.read(&reference)?;
+        let key = atomic_io::unframe(&REF_MAGIC, REF_VERSION, &bytes)
+            .ok()
+            .and_then(|payload| <[u8; 32]>::try_from(payload).ok());
+        let Some(key) = key else {
+            self.quarantine(&reference);
+            return self.miss();
         };
-        self.get_by_key(&key)
+        self.get_by_key(&ContentKey(key)).map(|(design, _)| design)
     }
 
     /// Looks up a design directly by its content key — the
     /// `GET /designs/{hash}` path, and the second hop of
-    /// [`get`](Self::get). Verification: frame checksum → content
-    /// re-hash against the file name → strict decode; anything damaged
-    /// is quarantined and reported as a counted miss.
-    pub fn get_by_key(&self, key: &ContentKey) -> Option<Design> {
+    /// [`get`](Self::get). Returns the design together with the
+    /// object's bytes, its `.slifb` file, once every frame checksum, the
+    /// end key and the SHA-256 of the canonical bytes against `key`, and
+    /// a strict decode have passed; anything damaged is quarantined and
+    /// reported as a counted miss.
+    pub fn get_by_key(&self, key: &ContentKey) -> Option<(Design, Vec<u8>)> {
         let object = self.objects.join(key.to_hex());
-        let canonical = match self.read_framed(&object, &OBJECT_MAGIC, OBJECT_VERSION) {
-            Lookup::Absent | Lookup::Damaged => return self.miss(),
-            Lookup::Payload(p) => p,
-        };
-        // The file name is the hash of the payload: re-hashing proves
-        // the bytes are identical to what was stored.
-        if ContentKey::of(&canonical) != *key {
-            self.quarantine(&object);
-            return self.miss();
-        }
-        match decode_design(&canonical) {
+        let bytes = self.read(&object)?;
+        match read_object(&bytes, key) {
             Ok(design) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(design)
+                Some((design, bytes))
             }
             Err(_) => {
                 self.quarantine(&object);
@@ -202,21 +189,16 @@ impl DesignCache {
         None
     }
 
-    /// Reads and unframes a cache file, quarantining it on any damage.
-    fn read_framed(&self, path: &Path, magic: &[u8; 8], version: u32) -> Lookup {
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Lookup::Absent,
-            Err(_) => {
-                self.quarantine(path);
-                return Lookup::Damaged;
-            }
-        };
-        match atomic_io::unframe(magic, version, &bytes) {
-            Ok(payload) => Lookup::Payload(payload.to_vec()),
-            Err(_) => {
-                self.quarantine(path);
-                Lookup::Damaged
+    /// Reads a cache file. An absent file is a counted miss, and so is
+    /// an unreadable one, which is quarantined too.
+    fn read(&self, path: &Path) -> Option<Vec<u8>> {
+        match fs::read(path) {
+            Ok(bytes) => Some(bytes),
+            Err(e) => {
+                if e.kind() != std::io::ErrorKind::NotFound {
+                    self.quarantine(path);
+                }
+                self.miss()
             }
         }
     }
@@ -230,10 +212,23 @@ impl DesignCache {
     }
 }
 
-enum Lookup {
-    Absent,
-    Damaged,
-    Payload(Vec<u8>),
+/// Verifies the bytes of the object filed under `key` and decodes them:
+/// every frame's checksum, then the end key and the SHA-256 of the
+/// canonical bytes against `key`, then a strict decode. Bytes that pass
+/// are exactly `frame_design(&encode_design(&design), key)`.
+fn read_object(bytes: &[u8], key: &ContentKey) -> Result<Design, StoreError> {
+    let (canonical, end_key) = unframe_design(bytes)?;
+    if end_key != *key {
+        return Err(StoreError::Corrupt { context: "end key" });
+    }
+    // The file name is the hash of the canonical bytes: re-hashing
+    // proves they are identical to what was stored.
+    if ContentKey::of(&canonical) != *key {
+        return Err(StoreError::Corrupt {
+            context: "content key",
+        });
+    }
+    decode_design(&canonical)
 }
 
 #[cfg(test)]
@@ -300,14 +295,15 @@ mod tests {
 
     #[test]
     fn hash_mismatch_with_valid_frame_is_caught() {
-        // A frame that checksums fine but whose payload is not what the
-        // file name promises — e.g. after a botched manual copy.
+        // Frames that checksum fine, and an end key equal to the file
+        // name, around canonical bytes that are not what the name
+        // promises — e.g. after a botched manual copy.
         let (dir, cache) = temp_cache("hash-mismatch");
         let (design, _) = DesignGenerator::new(7).build();
         let (other, _) = DesignGenerator::new(8).build();
         let key = cache.put(b"src", &design).unwrap();
         let object = dir.join("objects").join(key.to_hex());
-        let forged = atomic_io::frame(&OBJECT_MAGIC, OBJECT_VERSION, &encode_design(&other));
+        let forged = frame_design(&encode_design(&other), &key);
         fs::write(&object, forged).unwrap();
         assert!(cache.get(b"src").is_none());
         assert_eq!(cache.stats().quarantined, 1);
@@ -345,15 +341,16 @@ mod tests {
 
     #[test]
     fn older_canonical_version_is_a_quarantined_miss() {
-        // An object an older build filed: intact frame, payload hashing
-        // to its file name, but canonical version 1.
+        // An object an older build filed: canonical version 1 bytes,
+        // hashing to the file name, in the literal container that build
+        // wrapped them in (magic `SLIFCOBJ`, version 1).
         let (dir, cache) = temp_cache("old-canonical");
         let (design, _) = DesignGenerator::new(12).build();
         let mut old = encode_design(&design);
         old[0] = 1;
         let old_key = ContentKey::of(&old);
         let object = dir.join("objects").join(old_key.to_hex());
-        let framed = atomic_io::frame(&OBJECT_MAGIC, OBJECT_VERSION, &old);
+        let framed = atomic_io::frame(b"SLIFCOBJ", 1, &old);
         fs::write(&object, framed).unwrap();
         let reference = dir.join("refs").join(ContentKey::of(b"src").to_hex());
         let framed = atomic_io::frame(&REF_MAGIC, REF_VERSION, &old_key.0);
@@ -381,7 +378,7 @@ mod tests {
         assert!(cache.get(b"src").is_none(), "version-1 ref served");
         assert!(!reference.exists(), "version-1 ref not quarantined");
         assert_eq!(cache.stats().quarantined, 1);
-        assert_eq!(cache.get_by_key(&key).unwrap(), design);
+        assert_eq!(cache.get_by_key(&key).unwrap().0, design);
         // The next cold compile re-files the ref at the current version.
         cache.put(b"src", &design).unwrap();
         assert_eq!(cache.get(b"src").unwrap(), design);
@@ -393,16 +390,100 @@ mod tests {
         let (dir, cache) = temp_cache("by-key");
         let (design, _) = DesignGenerator::new(18).build();
         let key = cache.put(b"src", &design).unwrap();
-        assert_eq!(cache.get_by_key(&key).unwrap(), design);
+        let object = dir.join("objects").join(key.to_hex());
+        let (back, bytes) = cache.get_by_key(&key).unwrap();
+        assert_eq!(back, design);
+        assert_eq!(bytes, fs::read(&object).unwrap());
+        assert_eq!(bytes, frame_design(&encode_design(&design), &key));
         assert!(cache.get_by_key(&ContentKey::of(b"unknown")).is_none());
 
-        let object = dir.join("objects").join(key.to_hex());
         let mut bytes = fs::read(&object).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         fs::write(&object, &bytes).unwrap();
         assert!(cache.get_by_key(&key).is_none(), "corrupt object served");
         assert!(!object.exists(), "corrupt object not quarantined");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_put_rewrites_whatever_is_filed_under_its_key() {
+        // A damaged object, or one an older build filed in its own
+        // container, must not survive a put: the next read would be a
+        // quarantined miss although the put succeeded.
+        let (dir, cache) = temp_cache("rewrite");
+        let (design, _) = DesignGenerator::new(14).build();
+        let canonical = encode_design(&design);
+        let key = ContentKey::of(&canonical);
+        let object = dir.join("objects").join(key.to_hex());
+        let good = frame_design(&canonical, &key);
+        let mut damaged = good.clone();
+        damaged[good.len() / 2] ^= 0x01;
+        let old_container = atomic_io::frame(b"SLIFCOBJ", 1, &canonical);
+        for (what, filed) in [("damaged", &damaged), ("old-container", &old_container)] {
+            for by_key in [false, true] {
+                fs::write(&object, filed).unwrap();
+                if by_key {
+                    cache.put_object(&key, &design).unwrap();
+                } else {
+                    cache.put(b"src", &design).unwrap();
+                }
+                let ctx = format!("{what} object, put_object: {by_key}");
+                assert_eq!(fs::read(&object).unwrap(), good, "{ctx}");
+                assert_eq!(
+                    cache.get_by_key(&key),
+                    Some((design.clone(), good.clone())),
+                    "{ctx}"
+                );
+                assert_eq!(cache.stats().quarantined, 0, "{ctx}");
+            }
+        }
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_an_object_is_a_quarantined_miss() {
+        let (design, _) = DesignGenerator::new(21)
+            .behaviors(24)
+            .variables(16)
+            .processors(2)
+            .memories(1)
+            .buses(2)
+            .build();
+        let canonical = encode_design(&design);
+        let key = ContentKey::of(&canonical);
+        let good = frame_design(&canonical, &key);
+        assert_eq!(read_object(&good, &key).as_ref(), Ok(&design));
+        // Every cut that changes the bytes, one flipped bit at every
+        // offset, and intact frames ending in another key.
+        let damaged = (0..good.len())
+            .map(|len| (format!("cut to {len}"), good[..len].to_vec()))
+            .chain((0..good.len()).map(|at| {
+                let mut bytes = good.clone();
+                bytes[at] ^= 1 << (at % 8);
+                (format!("bit {} of byte {at} flipped", at % 8), bytes)
+            }))
+            .chain([(
+                "another end key".to_owned(),
+                frame_design(&canonical, &ContentKey::of(b"other")),
+            )]);
+        let (dir, cache) = temp_cache("every-fault");
+        let object = dir.join("objects").join(key.to_hex());
+        let mut sampled = 0;
+        for (i, (what, bytes)) in damaged.enumerate() {
+            assert!(read_object(&bytes, &key).is_err(), "{what} was read");
+            // A sample goes through the cache: a quarantined miss that
+            // a re-put heals.
+            if i % 61 == 0 {
+                fs::write(&object, &bytes).unwrap();
+                assert_eq!(cache.get_by_key(&key), None, "{what} was served");
+                sampled += 1;
+                assert_eq!(cache.stats().quarantined, sampled, "{what}");
+                cache.put_object(&key, &design).unwrap();
+                assert_eq!(cache.get_by_key(&key), Some((design.clone(), good.clone())));
+            }
+        }
+        assert!(sampled > 50, "only {sampled} faults went through the cache");
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -16,7 +16,7 @@
 //! canonical bytes are the version byte [`CANONICAL_VERSION`] followed
 //! by every payload, in the order above, each with a `u32` length
 //! prefix. Their SHA-256 is the design's
-//! [`ContentKey`](crate::ContentKey), so equal designs must encode to
+//! [`ContentKey`], so equal designs must encode to
 //! equal bytes and decoding must reproduce the design *exactly* —
 //! `decode_design(&encode_design(d)) == d`:
 //!
@@ -26,6 +26,13 @@
 //!   every id already is;
 //! * `f64` fields stored as raw IEEE-754 bits — no decimal round trip;
 //! * little-endian fixed-width integers throughout.
+//!
+//! The `.slifb` design framing lives here too. [`frame_design`] wraps
+//! each payload in a [`SEGMENT_MAGIC`] frame and ends with a [`SEG_END`]
+//! frame carrying the content key: the `.slifb` file of a design with
+//! no partition, and the bytes the store files as the design's object.
+//! The store's object reader checks every frame and rebuilds the
+//! canonical bytes from the payloads — a copy, not a re-encode.
 //!
 //! [`SegmentDecoder`] is the only design decoder: [`decode_design`] runs
 //! it over canonical bytes and the `.slifb` reader runs it over framed
@@ -38,6 +45,8 @@
 use std::fmt;
 
 use crate::error::StoreError;
+use crate::sha256::ContentKey;
+use slif_core::atomic_io::{self, le_u64, FRAME_HEADER_LEN};
 use slif_core::codec::{Dec, DecodeError, Enc};
 use slif_core::{
     AccessFreq, AccessKind, AccessTarget, Bus, ChannelId, ClassId, ClassKind, ConcurrencyTag,
@@ -46,9 +55,14 @@ use slif_core::{
 };
 
 /// The canonical encoding's own version byte (bumped on any layout
-/// change; the cache's object frame carries a second, container-level
-/// version).
+/// change; each `.slifb` frame carries a second, container-level
+/// version, [`SEGMENT_VERSION`]).
 pub const CANONICAL_VERSION: u8 = 2;
+
+/// Frame magic of one `.slifb` segment.
+pub const SEGMENT_MAGIC: [u8; 8] = *b"SLIFWSEG";
+/// Frame version of `.slifb` segments.
+pub const SEGMENT_VERSION: u32 = 1;
 
 /// Segment kind: design name.
 pub const SEG_HEADER: u8 = 1;
@@ -63,6 +77,8 @@ pub const SEG_CHANNELS: u8 = 5;
 /// Segment kind: processor, memory, and bus instances — the last
 /// design segment.
 pub const SEG_COMPONENTS: u8 = 6;
+/// Segment kind: the `.slifb` trailer carrying the design's content key.
+pub const SEG_END: u8 = 9;
 
 const NODES_PER_SEGMENT: usize = 1024;
 const CHANNELS_PER_SEGMENT: usize = 4096;
@@ -255,6 +271,71 @@ pub fn segment_payloads(canonical: &[u8]) -> impl Iterator<Item = &[u8]> {
             .then(|| d.bytes("segment").ok())
             .flatten()
     })
+}
+
+// ---------------------------------------------------------------------------
+// `.slifb` design framing
+// ---------------------------------------------------------------------------
+
+/// The payload of the `.slifb` end frame: [`SEG_END`], then `key`.
+pub fn end_payload(key: &ContentKey) -> [u8; 33] {
+    let mut payload = [SEG_END; 33];
+    payload[1..].copy_from_slice(&key.0);
+    payload
+}
+
+/// The `.slifb` bytes of a design with no partition: one frame per
+/// segment payload of `canonical`, then the end frame carrying `key`.
+/// This is what the store files as a design's object, byte for byte
+/// what the `.slifb` writer emits for the same design.
+pub fn frame_design(canonical: &[u8], key: &ContentKey) -> Vec<u8> {
+    let end = end_payload(key);
+    let frames = segment_payloads(canonical).count() + 1;
+    let mut out = Vec::with_capacity(canonical.len() + end.len() + frames * FRAME_HEADER_LEN);
+    for payload in segment_payloads(canonical).chain([&end[..]]) {
+        atomic_io::frame_into(&mut out, &SEGMENT_MAGIC, SEGMENT_VERSION, payload);
+    }
+    out
+}
+
+/// Undoes [`frame_design`]: verifies every frame's magic, version,
+/// length and checksum, and returns the canonical bytes rebuilt from
+/// the payloads of the frames before the end frame, with the key the
+/// end frame declares. Nothing is decoded, and nothing checks the key
+/// against those bytes — that is the caller's SHA-256.
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] on a damaged frame, a missing or malformed
+/// end frame, or bytes after it.
+pub(crate) fn unframe_design(bytes: &[u8]) -> Result<(Vec<u8>, ContentKey), StoreError> {
+    let corrupt = |context| StoreError::Corrupt { context };
+    let mut canonical = Vec::with_capacity(bytes.len());
+    canonical.push(CANONICAL_VERSION);
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let total = rest
+            .get(12..20)
+            .and_then(|len| usize::try_from(le_u64(len)).ok())
+            .and_then(|len| len.checked_add(FRAME_HEADER_LEN))
+            .filter(|&total| total <= rest.len())
+            .ok_or(corrupt("segment frame length"))?;
+        let (framed, tail) = rest.split_at(total);
+        rest = tail;
+        let payload = atomic_io::unframe(&SEGMENT_MAGIC, SEGMENT_VERSION, framed)
+            .map_err(|_| corrupt("segment frame"))?;
+        if payload.first() == Some(&SEG_END) {
+            let key = <[u8; 32]>::try_from(&payload[1..]).map_err(|_| corrupt("end key"))?;
+            if !rest.is_empty() {
+                return Err(corrupt("trailing bytes"));
+            }
+            return Ok((canonical, ContentKey(key)));
+        }
+        let len = u32::try_from(payload.len()).map_err(|_| corrupt("segment length"))?;
+        canonical.extend_from_slice(&len.to_le_bytes());
+        canonical.extend_from_slice(payload);
+    }
+    Err(corrupt("end frame"))
 }
 
 // ---------------------------------------------------------------------------

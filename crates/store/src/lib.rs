@@ -13,18 +13,20 @@
 //!   torn or corrupt record — quarantining the damaged tail to a
 //!   `.corrupt` sidecar instead of panicking or serving garbage.
 //! * [`DesignCache`] — a content-addressed design store: one object per
-//!   design, named by the SHA-256 of its [`canonical`] byte encoding of
-//!   [`Design`](slif_core::Design), plus source refs so repeat traffic
-//!   for a known spec skips parse and build entirely. Every read
-//!   re-hashes the stored bytes against the name they were filed
-//!   under, so a verified hit is *bit-identical* to the design that was
-//!   stored; any mismatch is a miss plus a quarantine, never an error
-//!   surfaced to a client.
+//!   design, its `.slifb` file, named by the SHA-256 of its
+//!   [`canonical`] byte encoding of [`Design`](slif_core::Design), plus
+//!   source refs so repeat traffic for a known spec skips parse and
+//!   build entirely. Every read hashes the canonical bytes it rebuilds
+//!   from the object's frames against the name they were filed under,
+//!   so a verified hit is *bit-identical* to the design that was stored
+//!   and its bytes are the design's `.slifb` file; any mismatch is a
+//!   miss plus a quarantine, never an error surfaced to a client.
 //! * [`canonical`] — the one `Design` codec: a version byte, then the
 //!   length-prefixed payloads of the `.slifb` design segments, in a
-//!   fixed field order with exact round-trip (`decode(encode(d)) == d`).
-//!   Its [`SegmentDecoder`](canonical::SegmentDecoder) rebuilds designs
-//!   for the cache and for the `.slifb` reader alike.
+//!   fixed field order with exact round-trip (`decode(encode(d)) == d`),
+//!   and the `.slifb` design framing around them. Its
+//!   [`SegmentDecoder`](canonical::SegmentDecoder) rebuilds designs for
+//!   the cache and for the `.slifb` reader alike.
 //!
 //! All file writes go through
 //! [`slif_core::atomic_io`](slif_core::atomic_io) (temp file → fsync →

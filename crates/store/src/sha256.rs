@@ -4,13 +4,14 @@
 //! (FIPS 180-4, ~100 lines) rather than pulled from a crate. It has to
 //! be *correct* and collision-resistant enough to address store
 //! objects, and it is on the design store's hot path: a strict
-//! interchange read hashes the decoded design's canonical bytes once to
-//! check the end key, and every object read hashes the stored bytes
-//! again to check the file name. This scalar code runs at ~200 MB/s —
-//! ~1.5 ms for the ~315 KB canonical bytes of a 2000-node design on a
-//! Xeon server core in a release build, against ~0.1 ms to encode those
-//! bytes — so each pass is a large share of a `POST` or
-//! `GET /designs` at that size.
+//! interchange read (`POST /designs`) hashes the decoded design's
+//! canonical bytes once to check the end key, and an object read
+//! (`GET /designs`) hashes the canonical bytes it rebuilds from the
+//! object's frames once to check the file name. This scalar code runs
+//! at ~200 MB/s — ~1.5 ms for the ~315 KB canonical bytes of a
+//! 2000-node design on a Xeon server core in a release build, against
+//! ~0.1 ms to encode those bytes — so that one pass is a large share of
+//! a `POST` or `GET /designs` at that size.
 
 use std::fmt;
 

@@ -11,20 +11,21 @@
 #    beat a cold flow analysis by ≥5x while lowering and solving
 #    exactly the edited behavior and returning the cold report. Cold
 #    and warm rounds alternate, so a host slowdown lands on both sides.
-# 2. Fault-injection suite, run explicitly: checkpoint corruption
-#    (truncation/bit-flips/header smashing), kill-and-resume exactness
-#    for all four partitioners, and the incremental-estimator self-audit
-#    must hold on every run, not only when the root suite happens to
-#    include them.
+# 2. Fault-injection suite (tests/fault_injection.rs, run by step 1's
+#    `--workspace`, which includes the root package's tests/):
+#    checkpoint corruption (truncation/bit-flips/header smashing),
+#    kill-and-resume exactness for all four partitioners, and the
+#    incremental-estimator self-audit must hold on every run.
 # 3. Checkpoint round-trip smoke: the resume_run example interrupts a
 #    supervised annealing run on a budget, reloads the checkpoint file,
 #    and asserts the resumed run is bit-identical to an uninterrupted
 #    one. It exits nonzero on any mismatch.
-# 4. Runtime soak: 500 mixed jobs (>30% injected faults — worker
-#    panics, malformed/corrupted/oversized inputs) through a 4-worker
-#    JobService; asserts exactly-one-terminal-state per job, bit-identity
-#    with inline execution for clean jobs, and balanced health books.
-#    The serve_batch example smoke-tests the same service end to end.
+# 4. Runtime soak (tests/runtime_soak.rs, run in step 1): 500 mixed
+#    jobs (>30% injected faults — worker panics, malformed/corrupted/
+#    oversized inputs) through a 4-worker JobService; asserts
+#    exactly-one-terminal-state per job, bit-identity with inline
+#    execution for clean jobs, and balanced health books. The
+#    serve_batch example smoke-tests the same service end to end.
 # 5. Spec-level lint gate: the analyze_spec example runs the
 #    slif-analyze engine — the graph passes (races, dead code,
 #    recursion cycles, bitwidth hazards, annotation gaps) plus the
@@ -33,9 +34,9 @@
 #    deny-warnings mode and exits nonzero on any finding; the shipped
 #    corpus must lint clean. It runs twice: once for the human-readable
 #    rendering and once in `--format json` (the stable machine schema).
-#    The analyzer's own property suites (determinism, per-lint firing
-#    fixtures, fixpoint determinism, incremental bit-identity) run with
-#    it.
+#    The analyzer's own property suites (tests/analyze_props.rs and
+#    tests/dataflow_props.rs: determinism, per-lint firing fixtures,
+#    fixpoint determinism, incremental bit-identity) run in step 1.
 # 6. Wire smoke: loadgen binds a slif-serve instance in-process on an
 #    ephemeral port (--self-serve, so no port coordination) and drives
 #    500 mixed requests with >30% injected client faults — slow
@@ -44,8 +45,9 @@
 #    status, clean body not byte-identical to the inline run, a caught
 #    worker panic). The full 10k-request soak runs as
 #    tests/wire_soak.rs in step 1.
-# 7. Durability soak: tests/store_soak.rs drives 24 restart cycles of a
-#    durable slif-serve over one store directory, corrupting the journal
+# 7. Durability soak: tests/store_soak.rs (run in step 1) drives 24
+#    restart cycles of a durable slif-serve over one store directory,
+#    corrupting the journal
 #    and the design cache between cycles (>30% of cycles, all four
 #    StoreFaultKind classes) — every acknowledged job must keep
 #    replaying its exact status and body, and every served body (cold or
@@ -59,7 +61,7 @@
 #    /sessions, POST /sessions/{id}/edit, GET /sessions/{id}) against an
 #    in-process server, asserting tier and cleanliness on each hop.
 # 9. Interchange-format gate: the format fault soak (tests/format_soak.rs,
-#    also in step 1) drives ≥500 corrupted/truncated/hostile-cap inputs
+#    run in step 1) drives ≥500 corrupted/truncated/hostile-cap inputs
 #    through the strict parser and POST /designs — zero panics, zero
 #    wrong answers, every rejection typed. The slif_conv example then
 #    proves every corpus spec survives text → binary → text with the
@@ -93,19 +95,13 @@ cd "$(dirname "$0")/.."
 # step spawns from target/release/) stale.
 cargo build --release --workspace
 cargo test -q --workspace
-cargo test -q --test fault_injection
-cargo test -q --test runtime_soak
 cargo run --release --quiet --example resume_run
 cargo run --release --quiet --example serve_batch
-cargo test -q --test analyze_props
-cargo test -q --test dataflow_props
 cargo run --release --quiet --example analyze_spec -- --deny-warnings
 cargo run --release --quiet --example analyze_spec -- --deny-warnings --format json
 cargo run --release --quiet -p slif-serve --bin loadgen -- --self-serve --requests 500
-cargo test -q --test store_soak
 cargo run --release --quiet -p slif-serve --bin restart_smoke
 cargo run --release --quiet --example edit_session
-cargo test -q --test format_soak
 cargo run --release --quiet --example slif_conv
 cargo test --release --offline --manifest-path slifbench/Cargo.toml
 bench_smoke() {
